@@ -445,16 +445,16 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
         QueryTelemetry& t = states[att.query_index].result.telemetry;
         // Same per-chunk ledger as RerankFromChunks, under the shared
         // fetch's cache verdict.
-        if (from_cache) {
-          ++t.cache_hits;
-        } else {
-          ++t.cache_misses;
+        if (cache_ != nullptr) {
+          from_cache ? ++t.cache_hits : ++t.cache_misses;
         }
         ++t.probes;
         ++t.chunks_read;
-        t.bytes_read +=
-            static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
-            kPageSize;
+        if (!from_cache) {
+          t.bytes_read +=
+              static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
+              kPageSize;
+        }
         t.max_probe_rows =
             std::max(t.max_probe_rows, static_cast<uint64_t>(chunk->size()));
         KnnResultSet& result_set = *exact[att.query_index];
@@ -588,16 +588,18 @@ Status PqMethod::RerankFromChunks(std::span<const float> query,
       QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, &local));
       chunk = &local;
     }
-    if (from_cache) {
-      ++telemetry->cache_hits;
-    } else {
-      ++telemetry->cache_misses;
+    // Verdicts only when a cache is wired; bytes only for chunks that came
+    // off the chunk file — the same ledger as Searcher.
+    if (cache_ != nullptr) {
+      from_cache ? ++telemetry->cache_hits : ++telemetry->cache_misses;
     }
     ++telemetry->probes;
     ++telemetry->chunks_read;
-    telemetry->bytes_read +=
-        static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
-        kPageSize;
+    if (!from_cache) {
+      telemetry->bytes_read +=
+          static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
+          kPageSize;
+    }
     telemetry->max_probe_rows =
         std::max(telemetry->max_probe_rows,
                  static_cast<uint64_t>(chunk->size()));

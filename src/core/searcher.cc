@@ -1,7 +1,11 @@
 #include "core/searcher.h"
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cmath>
+#include <limits>
+#include <numeric>
 #include <optional>
 #include <utility>
 
@@ -17,6 +21,50 @@ namespace {
 /// the result set fills, while each kernel call still amortizes dispatch
 /// over many rows.
 constexpr size_t kScanBlock = 256;
+
+/// How many ranked chunks `stop` can ever read: the budget passed to
+/// RankChunks. Only kMaxChunks knows it up front.
+size_t RankBudget(const StopRule& stop) {
+  return stop.kind == StopRule::Kind::kMaxChunks ? stop.max_chunks
+                                                 : Searcher::kFullRanking;
+}
+
+/// Full rank order into `s.rank_order`: a stable LSD radix sort of the chunk
+/// ids, 8-bit digits, keyed on the bit patterns of their centroid distances.
+/// The distances are non-negative, so their IEEE-754 bit patterns order
+/// exactly like their values; the ids enter in ascending order, so
+/// stability breaks distance ties by id. The result is the (distance, id)
+/// comparator order bit for bit. A pass whose digit is the same for every
+/// key (the sign and high exponent bits, typically) is skipped.
+void RadixRankByDistance(SearchScratch& s) {
+  constexpr int kDigits = 8;
+  const size_t n = s.centroid_distance.size();
+  s.rank_order.resize(n);
+  s.rank_order_tmp.resize(n);
+  s.rank_keys.resize(n);
+  s.rank_keys_tmp.resize(n);
+  std::array<std::array<uint32_t, 256>, kDigits> counts{};
+  for (size_t i = 0; i < n; ++i) {
+    const uint64_t key = std::bit_cast<uint64_t>(s.centroid_distance[i]);
+    s.rank_keys[i] = key;
+    s.rank_order[i] = static_cast<uint32_t>(i);
+    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
+  }
+  for (int d = 0; d < kDigits; ++d) {
+    const int shift = 8 * d;
+    std::array<uint32_t, 256>& bucket = counts[d];
+    if (n == 0 || bucket[(s.rank_keys[0] >> shift) & 0xff] == n) continue;
+    uint32_t start = 0;
+    for (uint32_t& c : bucket) start += std::exchange(c, start);
+    for (size_t i = 0; i < n; ++i) {
+      const uint32_t pos = bucket[(s.rank_keys[i] >> shift) & 0xff]++;
+      s.rank_keys_tmp[pos] = s.rank_keys[i];
+      s.rank_order_tmp[pos] = s.rank_order[i];
+    }
+    s.rank_keys.swap(s.rank_keys_tmp);
+    s.rank_order.swap(s.rank_order_tmp);
+  }
+}
 
 }  // namespace
 
@@ -37,30 +85,47 @@ Searcher::Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
 }
 
 int64_t Searcher::RankChunks(std::span<const float> query,
-                             SearchScratch& scratch) const {
+                             SearchScratch& scratch, size_t budget) const {
   const size_t num_chunks = index_->num_chunks();
-  scratch.rank_order.resize(num_chunks);
   scratch.centroid_distance.resize(num_chunks);
   // One batched kernel call over the contiguous centroid matrix replaces
   // the old per-centroid vec::Distance loop. sqrt of the kernel's squared
   // distance is bit-identical to vec::Distance (same ascending-d reduction,
   // same single sqrt), so the ranking — ties broken by chunk id — is too.
+  // Every distance is computed even under a budget: the rank key is the
+  // distance after sqrt (distinct squares can round to one root, which
+  // changes the tie-break), and range search reads them all.
   kernels::BatchSquaredDistance(index_->centroid_matrix().data(), num_chunks,
                                 index_->dim(), query,
                                 scratch.centroid_distance.data());
-  for (size_t i = 0; i < num_chunks; ++i) {
-    scratch.rank_order[i] = static_cast<uint32_t>(i);
-    scratch.centroid_distance[i] = std::sqrt(scratch.centroid_distance[i]);
+  for (double& d : scratch.centroid_distance) d = std::sqrt(d);
+  // The 2005 model always reads the whole index, budget or not.
+  const int64_t model_micros = cost_model_.IndexScanMicros(num_chunks);
+
+  if (budget != kFullRanking) {
+    // A kMaxChunks stop reads only the best `budget` chunks: select them,
+    // then order just that prefix. (Shards of a dynamic index often hold
+    // fewer chunks than the budget; a comparison sort of a handful of ids
+    // beats the radix sort's fixed 8 x 256-bucket cost.) The suffix bounds
+    // serve only the exact and epsilon rules, which never pass a budget.
+    std::vector<uint32_t>& order = scratch.rank_order;
+    order.resize(num_chunks);
+    std::iota(order.begin(), order.end(), 0u);
+    const auto closer = [&](uint32_t a, uint32_t b) {
+      const double da = scratch.centroid_distance[a];
+      const double db = scratch.centroid_distance[b];
+      return da != db ? da < db : a < b;
+    };
+    if (budget < num_chunks) {
+      std::nth_element(order.begin(), order.begin() + budget, order.end(),
+                       closer);
+      order.resize(budget);
+    }
+    std::sort(order.begin(), order.end(), closer);
+    scratch.suffix_min_bound.clear();
+    return model_micros;
   }
-  std::sort(scratch.rank_order.begin(), scratch.rank_order.end(),
-            [&](uint32_t a, uint32_t b) {
-              if (scratch.centroid_distance[a] !=
-                  scratch.centroid_distance[b]) {
-                return scratch.centroid_distance[a] <
-                       scratch.centroid_distance[b];
-              }
-              return a < b;
-            });
+  RadixRankByDistance(scratch);
 
   // Suffix minimum of the chunk lower bounds (centroid distance - radius)
   // over the ranked order. suffix_min_bound[r] is the closest any
@@ -80,7 +145,7 @@ int64_t Searcher::RankChunks(std::span<const float> query,
     scratch.suffix_min_bound[r] =
         std::min(scratch.suffix_min_bound[r + 1], lower_bound);
   }
-  return cost_model_.IndexScanMicros(num_chunks);
+  return model_micros;
 }
 
 Status Searcher::FetchChunk(uint32_t chunk_id, SearchScratch& scratch,
@@ -120,20 +185,21 @@ StatusOr<SearchResult> Searcher::Search(std::span<const float> query,
   WallClock wall;
   Stopwatch stopwatch(&wall);
 
-  // --- Step 1: rank all chunks by centroid distance (§4.3). ---------------
-  int64_t model_micros = RankChunks(query, s);
+  // --- Step 1: rank chunks by centroid distance (§4.3). -------------------
+  // Under kMaxChunks only the budget prefix is ranked: rank_order holds
+  // exactly the chunks the stop rule lets the loop below read.
+  int64_t model_micros = RankChunks(query, s, RankBudget(stop));
   const int64_t rank_model_micros = model_micros;
   const int64_t rank_wall_micros = stopwatch.ElapsedMicros();
 
   // --- Steps 2 & 3: scan chunks in rank order under the stop rule. --------
   // The read schedule is fully known now, so the pipelined path opens a
-  // read-ahead stream over it; delivery stays strictly in rank order and the
-  // stream's consume-time cache verdicts match the synchronous FetchChunk
-  // exactly, so everything below is identical either way but wall time.
+  // read-ahead stream over it — never past the chunk budget; delivery stays
+  // strictly in rank order and the stream's consume-time cache verdicts
+  // match the synchronous FetchChunk exactly, so everything below is
+  // identical either way but wall time.
   std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) {
-    stream = prefetcher_->NewStream({s.rank_order.data(), num_chunks});
-  }
+  if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(s.rank_order);
   OverlappedScanTimeline timeline(
       prefetcher_ != nullptr ? prefetcher_->depth() : 0, model_micros);
 
@@ -141,12 +207,9 @@ StatusOr<SearchResult> Searcher::Search(std::span<const float> query,
   SearchResult result;
   s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
 
-  for (size_t r = 0; r < num_chunks; ++r) {
+  // The kMaxChunks stop is the loop bound: rank_order is the budget prefix.
+  for (size_t r = 0; r < s.rank_order.size(); ++r) {
     // Stop checks happen before reading the next chunk.
-    if (stop.kind == StopRule::Kind::kMaxChunks &&
-        result.chunks_read >= stop.max_chunks) {
-      break;
-    }
     if (stop.kind == StopRule::Kind::kTimeBudget &&
         model_micros >= stop.budget_micros) {
       break;
@@ -338,7 +401,7 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
     SharedQueryState& q = states[i];
     q.query = queries[i];
     Stopwatch plan_watch(&wall);
-    q.model_micros = RankChunks(q.query, q.scratch);
+    q.model_micros = RankChunks(q.query, q.scratch, RankBudget(stop));
     q.result.rank_model_micros = q.model_micros;
     q.result.rank_wall_micros = plan_watch.ElapsedMicros();
     q.wall_micros = q.result.rank_wall_micros;
@@ -514,6 +577,7 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
     std::vector<std::pair<uint32_t, ChunkAttachment>> demands;
     demands.reserve(nq * budget);
     for (SharedQueryState& q : states) {
+      // The plan ranked exactly this prefix (rank_order.size() == budget).
       q.charges.resize(budget);
       for (size_t r = 0; r < budget; ++r) {
         demands.emplace_back(q.scratch.rank_order[r],
@@ -541,7 +605,7 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
       still_live.reserve(live.size());
       for (SharedQueryState* q : live) {
         const size_t r = q->next_rank;
-        if (r == num_chunks) {
+        if (r == q->scratch.rank_order.size()) {
           // Scanned every chunk: exact by construction.
           if (stop.kind == StopRule::Kind::kExact) q->result.exact = true;
           continue;

@@ -2,6 +2,7 @@
 #define QVT_CORE_SEARCHER_H_
 
 #include <functional>
+#include <limits>
 #include <memory>
 #include <span>
 #include <vector>
@@ -109,9 +110,15 @@ struct SearchResult {
 /// scratch back in to reuse its allocations, and concurrent callers simply
 /// use one scratch per thread.
 struct SearchScratch {
+  /// Chunk ids by ascending (centroid distance, id): every chunk, or only
+  /// the ranked budget prefix (see Searcher::RankChunks).
   std::vector<uint32_t> rank_order;
-  std::vector<double> centroid_distance;
-  std::vector<double> suffix_min_bound;
+  std::vector<double> centroid_distance;  ///< by chunk id, always complete
+  std::vector<double> suffix_min_bound;   ///< empty after a budgeted rank
+  /// Radix-sort ping-pong buffers of the full ranking.
+  std::vector<uint32_t> rank_order_tmp;
+  std::vector<uint64_t> rank_keys;
+  std::vector<uint64_t> rank_keys_tmp;
   std::vector<double> distances;    ///< per-block kernel output
   std::vector<uint32_t> fetch_order;  ///< range search's pipelined schedule
   ChunkData chunk;
@@ -199,13 +206,24 @@ class Searcher {
                                      double radius, const StopRule& stop,
                                      SearchScratch* scratch = nullptr) const;
 
-  /// Step 1 of §4.3 into `scratch`: centroid distances, rank order, and the
-  /// suffix-minimum lower bounds, via one batched kernel call over the
-  /// index's contiguous centroid matrix. Returns the modeled index-scan
-  /// charge. Public so tests can pin the ranking bit-identical to the
-  /// scalar per-centroid reference.
-  int64_t RankChunks(std::span<const float> query,
-                     SearchScratch& scratch) const;
+  /// RankChunks' default budget: rank every chunk.
+  static constexpr size_t kFullRanking = std::numeric_limits<size_t>::max();
+
+  /// Step 1 of §4.3 into `scratch`: centroid distances (all of them, via
+  /// one batched kernel call over the index's contiguous centroid matrix),
+  /// then the rank order by ascending (distance, chunk id).
+  ///
+  /// With a `budget` — a kMaxChunks stop — only the best
+  /// min(budget, num_chunks) chunks are selected and ordered, rank_order
+  /// holds just that prefix, and suffix_min_bound is left empty. The
+  /// default ranks the full order with a stable radix sort on the distance
+  /// bits, then fills the suffix-minimum lower bounds the exact and epsilon
+  /// rules stop on. Either way rank_order is bit-identical to the prefix of
+  /// the comparator-sorted order. Returns the modeled index-scan charge:
+  /// that of the whole index, whatever the budget. Public so tests can pin
+  /// the ranking to the scalar per-centroid reference.
+  int64_t RankChunks(std::span<const float> query, SearchScratch& scratch,
+                     size_t budget = kFullRanking) const;
 
   /// The prefetch pipeline backing this searcher, or null at depth 0.
   const ChunkPrefetcher* prefetcher() const { return prefetcher_.get(); }

@@ -19,6 +19,7 @@
 #include "core/search_method.h"
 #include "descriptor/generator.h"
 #include "geometry/kernels.h"
+#include "storage/chunk_cache.h"
 #include "storage/pq_file.h"
 #include "util/logging.h"
 #include "util/parallel_for.h"
@@ -250,6 +251,69 @@ TEST(PqMethodTest, TelemetryAccountsForCompressedScanAndRerank) {
   EXPECT_FALSE(t.exact);
   EXPECT_GE(t.wall_micros, t.plan.wall_micros + t.scan.wall_micros +
                                t.refine.wall_micros);
+}
+
+// Both rerank paths run the chunk-major executor too.
+std::vector<MethodResult> SearchSharedAll(const SearchMethod& method,
+                                          const PqFixture& fx) {
+  std::vector<std::span<const float>> queries(fx.queries.begin(),
+                                              fx.queries.end());
+  auto results =
+      method.SearchShared(queries, 10, StopRule::Exact(), 1, nullptr);
+  EXPECT_TRUE(results.ok()) << results.status().message();
+  return results.ok() ? std::move(*results) : std::vector<MethodResult>();
+}
+
+// With no ChunkCache wired there are no cache verdicts to count — only the
+// reads themselves, as for the chunked method.
+TEST(PqMethodTest, CachelessRerankCountsNoCacheVerdicts) {
+  const PqFixture fx;
+  auto method = MakePrepared(fx.Context(), "rerank=32");
+  ASSERT_NE(method, nullptr);
+  for (const auto& query : fx.queries) {
+    auto result = method->Search(query, 10);
+    ASSERT_TRUE(result.ok());
+    EXPECT_GT(result->telemetry.chunks_read, 0u);
+    EXPECT_EQ(result->telemetry.cache_hits, 0u);
+    EXPECT_EQ(result->telemetry.cache_misses, 0u);
+  }
+  const std::vector<MethodResult> shared = SearchSharedAll(*method, fx);
+  ASSERT_EQ(shared.size(), fx.queries.size());
+  for (const MethodResult& result : shared) {
+    EXPECT_GT(result.telemetry.chunks_read, 0u);
+    EXPECT_EQ(result.telemetry.cache_hits, 0u);
+    EXPECT_EQ(result.telemetry.cache_misses, 0u);
+  }
+}
+
+// Chunks served from the cache cost no chunk-file bytes: a warm whole-file
+// cache makes a rerank query read zero bytes on both execution paths.
+TEST(PqMethodTest, WarmCacheRerankReadsNoBytes) {
+  const PqFixture fx;
+  ChunkCache cache(uint64_t{1} << 20);  // holds the whole chunk file
+  MethodContext context = fx.Context();
+  context.cache = &cache;
+  auto method = MakePrepared(context, "rerank=32");
+  ASSERT_NE(method, nullptr);
+  for (const auto& query : fx.queries) {
+    auto cold = method->Search(query, 10);
+    ASSERT_TRUE(cold.ok());
+  }
+  for (const auto& query : fx.queries) {
+    auto warm = method->Search(query, 10);
+    ASSERT_TRUE(warm.ok());
+    const QueryTelemetry& t = warm->telemetry;
+    EXPECT_GT(t.chunks_read, 0u);
+    EXPECT_EQ(t.cache_hits, t.chunks_read);
+    EXPECT_EQ(t.cache_misses, 0u);
+    EXPECT_EQ(t.bytes_read, 0u);
+  }
+  for (const MethodResult& result : SearchSharedAll(*method, fx)) {
+    const QueryTelemetry& t = result.telemetry;
+    EXPECT_GT(t.chunks_read, 0u);
+    EXPECT_EQ(t.cache_hits, t.chunks_read);
+    EXPECT_EQ(t.bytes_read, 0u);
+  }
 }
 
 TEST(PqMethodTest, AdcOnlyModeReadsNothing) {

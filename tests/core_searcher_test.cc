@@ -396,20 +396,73 @@ void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
   }
 }
 
+// An index whose chunks come in pairs with bit-identical centroids and
+// radii: the collection holds every row twice, and each SR-tree chunk of the
+// first copy is mirrored by a chunk of the same rows, in the same order, of
+// the second. Every centroid distance therefore ties exactly with another,
+// and a query equal to a centroid ties at distance 0.
+struct TiedCentroidFixture {
+  MemEnv env;
+  Collection collection;
+  std::optional<ChunkIndex> index;
+
+  TiedCentroidFixture() {
+    const Collection base = TestCollection();
+    SrTreeChunker chunker(60);
+    auto base_chunks = chunker.FormChunks(base);
+    QVT_CHECK(base_chunks.ok());
+    const size_t n = base.size();
+    for (size_t copy = 0; copy < 2; ++copy) {
+      for (size_t i = 0; i < n; ++i) {
+        collection.Append(static_cast<DescriptorId>(copy * n + i),
+                          base.Vector(i));
+      }
+    }
+    ChunkingResult chunking;
+    chunking.chunks = base_chunks->chunks;
+    for (const auto& chunk : base_chunks->chunks) {
+      std::vector<size_t> mirror;
+      for (const size_t pos : chunk) mirror.push_back(pos + n);
+      chunking.chunks.push_back(std::move(mirror));
+    }
+    for (const size_t pos : base_chunks->outliers) {
+      chunking.outliers.push_back(pos);
+      chunking.outliers.push_back(pos + n);
+    }
+    auto built = ChunkIndex::Build(collection, chunking, &env,
+                                   ChunkIndexPaths::ForBase("tied"));
+    QVT_CHECK(built.ok());
+    index.emplace(std::move(built).value());
+  }
+
+  /// Random queries, plus one equal to a centroid (distance 0, tied).
+  std::vector<std::vector<float>> Queries() const {
+    std::vector<std::vector<float>> queries;
+    const auto centroid = index->centroid(index->num_chunks() / 3);
+    queries.emplace_back(centroid.begin(), centroid.end());
+    Rng rng(29);
+    for (int trial = 0; trial < 4; ++trial) {
+      std::vector<float> query(kDescriptorDim);
+      for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
+      queries.push_back(std::move(query));
+    }
+    return queries;
+  }
+};
+
 // Satellite regression: the vectorized RankChunks (one batched kernel call
-// over the contiguous centroid matrix) must reproduce the old per-centroid
-// vec::Distance loop bit-for-bit, ties broken by chunk id.
+// over the contiguous centroid matrix, radix-sorted on the distance bits)
+// must reproduce the old per-centroid vec::Distance loop and comparator
+// sort bit-for-bit, ties broken by chunk id.
 TEST(SearcherTest, RankChunksMatchesScalarCentroidReference) {
   SrTreeChunker chunker(60);
   IndexFixture fx(&chunker);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  const size_t num_chunks = fx.index->num_chunks();
+  TiedCentroidFixture tied;
 
-  Rng rng(17);
-  for (int trial = 0; trial < 10; ++trial) {
-    std::vector<float> query(kDescriptorDim);
-    for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
-
+  const auto check = [](const ChunkIndex& index,
+                        std::span<const float> query) {
+    Searcher searcher(&index, DiskCostModel());
+    const size_t num_chunks = index.num_chunks();
     SearchScratch scratch;
     searcher.RankChunks(query, scratch);
 
@@ -417,7 +470,7 @@ TEST(SearcherTest, RankChunksMatchesScalarCentroidReference) {
     std::vector<uint32_t> order(num_chunks);
     for (size_t i = 0; i < num_chunks; ++i) {
       order[i] = static_cast<uint32_t>(i);
-      reference[i] = vec::Distance(query, fx.index->centroid(i));
+      reference[i] = vec::Distance(query, index.centroid(i));
     }
     std::sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
       if (reference[a] != reference[b]) return reference[a] < reference[b];
@@ -425,9 +478,57 @@ TEST(SearcherTest, RankChunksMatchesScalarCentroidReference) {
     });
 
     ASSERT_EQ(scratch.rank_order.size(), num_chunks);
+    ASSERT_EQ(scratch.suffix_min_bound.size(), num_chunks + 1);
     for (size_t i = 0; i < num_chunks; ++i) {
       EXPECT_EQ(scratch.centroid_distance[i], reference[i]) << "chunk " << i;
       EXPECT_EQ(scratch.rank_order[i], order[i]) << "rank " << i;
+    }
+  };
+
+  Rng rng(17);
+  for (int trial = 0; trial < 10; ++trial) {
+    std::vector<float> query(kDescriptorDim);
+    for (auto& x : query) x = static_cast<float>(rng.UniformDouble(20, 80));
+    check(*fx.index, query);
+  }
+
+  // Exact ties, the distance-0 one included: the stable radix sort must
+  // break them by ascending chunk id, exactly as the comparator does.
+  const std::vector<std::vector<float>> queries = tied.Queries();
+  SearchScratch probe;
+  Searcher(&*tied.index, DiskCostModel()).RankChunks(queries[0], probe);
+  ASSERT_EQ(probe.centroid_distance[probe.rank_order[0]], 0.0);
+  ASSERT_EQ(probe.centroid_distance[probe.rank_order[1]], 0.0);
+  for (const auto& query : queries) check(*tied.index, query);
+}
+
+// A budgeted ranking (the kMaxChunks plan) is exactly the first min(b, n)
+// entries of the full ranking, ties and distance-0 queries included; the
+// distances and the modeled index-scan charge do not depend on the budget.
+TEST(SearcherTest, BudgetedRankingEqualsFullRankingPrefix) {
+  TiedCentroidFixture tied;
+  const ChunkIndex& index = *tied.index;
+  Searcher searcher(&index, DiskCostModel());
+  const size_t n = index.num_chunks();
+  ASSERT_GT(n, 9u);
+
+  for (const auto& query : tied.Queries()) {
+    SearchScratch full;
+    const int64_t full_micros = searcher.RankChunks(query, full);
+    ASSERT_EQ(full.rank_order.size(), n);
+    for (const size_t budget :
+         {size_t{0}, size_t{1}, size_t{8}, n - 1, n, n + 5}) {
+      SCOPED_TRACE("budget " + std::to_string(budget));
+      SearchScratch partial;
+      const int64_t micros = searcher.RankChunks(query, partial, budget);
+      EXPECT_EQ(micros, full_micros);
+      const size_t b = std::min(budget, n);
+      ASSERT_EQ(partial.rank_order.size(), b);
+      for (size_t r = 0; r < b; ++r) {
+        EXPECT_EQ(partial.rank_order[r], full.rank_order[r]) << "rank " << r;
+      }
+      EXPECT_EQ(partial.centroid_distance, full.centroid_distance);
+      EXPECT_TRUE(partial.suffix_min_bound.empty());
     }
   }
 }
@@ -533,6 +634,34 @@ TEST(PrefetchSearcherTest, MidScanExactStopCancelsStrandedReads) {
   EXPECT_GT(p.issued, p.used);  // the window had run ahead of the stop
   EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
   EXPECT_GT(p.wasted + p.cancelled, 0u);
+}
+
+// Under kMaxChunks the read-ahead stream covers only the budget prefix, so
+// every issued read is consumed: nothing is wasted or cancelled.
+TEST(PrefetchSearcherTest, ReadAheadStopsAtChunkBudget) {
+  SrTreeChunker chunker(60);
+  IndexFixture fx(&chunker);
+  const size_t n = fx.index->num_chunks();
+  Searcher sync(&*fx.index, DiskCostModel(), nullptr, Depth(0));
+  Searcher pipelined(&*fx.index, DiskCostModel(), nullptr, Depth(4));
+
+  for (const size_t budget : {1u, 3u, 8u}) {
+    for (const size_t pos : {0u, 100u, 777u}) {
+      SCOPED_TRACE("budget " + std::to_string(budget) + " pos " +
+                   std::to_string(pos));
+      const auto query = fx.collection.Vector(pos);
+      auto a = sync.Search(query, 10, StopRule::MaxChunks(budget));
+      auto b = pipelined.Search(query, 10, StopRule::MaxChunks(budget));
+      ASSERT_TRUE(a.ok());
+      ASSERT_TRUE(b.ok());
+      ExpectBitIdentical(*a, *b);
+      const PrefetchStats& p = b->prefetch;
+      EXPECT_EQ(p.issued, std::min(budget, n));
+      EXPECT_EQ(p.used, std::min(budget, n));
+      EXPECT_EQ(p.wasted, 0u);
+      EXPECT_EQ(p.cancelled, 0u);
+    }
+  }
 }
 
 TEST(PrefetchSearcherTest, PipelinedRangeSearchIsBitIdenticalToSynchronous) {
