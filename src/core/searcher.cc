@@ -1,8 +1,6 @@
 #include "core/searcher.h"
 
 #include <algorithm>
-#include <array>
-#include <bit>
 #include <cmath>
 #include <limits>
 #include <numeric>
@@ -27,43 +25,6 @@ constexpr size_t kScanBlock = 256;
 size_t RankBudget(const StopRule& stop) {
   return stop.kind == StopRule::Kind::kMaxChunks ? stop.max_chunks
                                                  : Searcher::kFullRanking;
-}
-
-/// Full rank order into `s.rank_order`: a stable LSD radix sort of the chunk
-/// ids, 8-bit digits, keyed on the bit patterns of their centroid distances.
-/// The distances are non-negative, so their IEEE-754 bit patterns order
-/// exactly like their values; the ids enter in ascending order, so
-/// stability breaks distance ties by id. The result is the (distance, id)
-/// comparator order bit for bit. A pass whose digit is the same for every
-/// key (the sign and high exponent bits, typically) is skipped.
-void RadixRankByDistance(SearchScratch& s) {
-  constexpr int kDigits = 8;
-  const size_t n = s.centroid_distance.size();
-  s.rank_order.resize(n);
-  s.rank_order_tmp.resize(n);
-  s.rank_keys.resize(n);
-  s.rank_keys_tmp.resize(n);
-  std::array<std::array<uint32_t, 256>, kDigits> counts{};
-  for (size_t i = 0; i < n; ++i) {
-    const uint64_t key = std::bit_cast<uint64_t>(s.centroid_distance[i]);
-    s.rank_keys[i] = key;
-    s.rank_order[i] = static_cast<uint32_t>(i);
-    for (int d = 0; d < kDigits; ++d) ++counts[d][(key >> (8 * d)) & 0xff];
-  }
-  for (int d = 0; d < kDigits; ++d) {
-    const int shift = 8 * d;
-    std::array<uint32_t, 256>& bucket = counts[d];
-    if (n == 0 || bucket[(s.rank_keys[0] >> shift) & 0xff] == n) continue;
-    uint32_t start = 0;
-    for (uint32_t& c : bucket) start += std::exchange(c, start);
-    for (size_t i = 0; i < n; ++i) {
-      const uint32_t pos = bucket[(s.rank_keys[i] >> shift) & 0xff]++;
-      s.rank_keys_tmp[pos] = s.rank_keys[i];
-      s.rank_order_tmp[pos] = s.rank_order[i];
-    }
-    s.rank_keys.swap(s.rank_keys_tmp);
-    s.rank_order.swap(s.rank_order_tmp);
-  }
 }
 
 }  // namespace
@@ -92,9 +53,8 @@ int64_t Searcher::RankChunks(std::span<const float> query,
   // the old per-centroid vec::Distance loop. sqrt of the kernel's squared
   // distance is bit-identical to vec::Distance (same ascending-d reduction,
   // same single sqrt), so the ranking — ties broken by chunk id — is too.
-  // Every distance is computed even under a budget: the rank key is the
-  // distance after sqrt (distinct squares can round to one root, which
-  // changes the tie-break), and range search reads them all.
+  // Every distance is computed even under a budget: selecting the best
+  // `budget` chunks needs them all, and range search reads them all.
   kernels::BatchSquaredDistance(index_->centroid_matrix().data(), num_chunks,
                                 index_->dim(), query,
                                 scratch.centroid_distance.data());
@@ -102,30 +62,28 @@ int64_t Searcher::RankChunks(std::span<const float> query,
   // The 2005 model always reads the whole index, budget or not.
   const int64_t model_micros = cost_model_.IndexScanMicros(num_chunks);
 
-  if (budget != kFullRanking) {
-    // A kMaxChunks stop reads only the best `budget` chunks: select them,
-    // then order just that prefix. (Shards of a dynamic index often hold
-    // fewer chunks than the budget; a comparison sort of a handful of ids
-    // beats the radix sort's fixed 8 x 256-bucket cost.) The suffix bounds
-    // serve only the exact and epsilon rules, which never pass a budget.
-    std::vector<uint32_t>& order = scratch.rank_order;
-    order.resize(num_chunks);
-    std::iota(order.begin(), order.end(), 0u);
-    const auto closer = [&](uint32_t a, uint32_t b) {
-      const double da = scratch.centroid_distance[a];
-      const double db = scratch.centroid_distance[b];
-      return da != db ? da < db : a < b;
-    };
-    if (budget < num_chunks) {
-      std::nth_element(order.begin(), order.begin() + budget, order.end(),
-                       closer);
-      order.resize(budget);
-    }
+  // Order the chunk ids by (distance, id). A kMaxChunks stop reads only
+  // the best `budget` chunks: select them first, then order just that
+  // prefix; the full ranking is the same sort over every chunk.
+  std::vector<uint32_t>& order = scratch.rank_order;
+  order.resize(num_chunks);
+  std::iota(order.begin(), order.end(), 0u);
+  const auto closer = [&](uint32_t a, uint32_t b) {
+    const double da = scratch.centroid_distance[a];
+    const double db = scratch.centroid_distance[b];
+    return da != db ? da < db : a < b;
+  };
+  if (budget < num_chunks) {
+    std::nth_element(order.begin(), order.begin() + budget, order.end(),
+                     closer);
+    order.resize(budget);
     std::sort(order.begin(), order.end(), closer);
+    // The suffix bounds serve only the exact and epsilon rules, which
+    // never pass a budget; over a cut order they would be wrong anyway.
     scratch.suffix_min_bound.clear();
     return model_micros;
   }
-  RadixRankByDistance(scratch);
+  std::sort(order.begin(), order.end(), closer);
 
   // Suffix minimum of the chunk lower bounds (centroid distance - radius)
   // over the ranked order. suffix_min_bound[r] is the closest any

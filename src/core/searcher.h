@@ -114,11 +114,7 @@ struct SearchScratch {
   /// the ranked budget prefix (see Searcher::RankChunks).
   std::vector<uint32_t> rank_order;
   std::vector<double> centroid_distance;  ///< by chunk id, always complete
-  std::vector<double> suffix_min_bound;   ///< empty after a budgeted rank
-  /// Radix-sort ping-pong buffers of the full ranking.
-  std::vector<uint32_t> rank_order_tmp;
-  std::vector<uint64_t> rank_keys;
-  std::vector<uint64_t> rank_keys_tmp;
+  std::vector<double> suffix_min_bound;   ///< empty after a budget cut
   std::vector<double> distances;    ///< per-block kernel output
   std::vector<uint32_t> fetch_order;  ///< range search's pipelined schedule
   ChunkData chunk;
@@ -213,15 +209,15 @@ class Searcher {
   /// one batched kernel call over the index's contiguous centroid matrix),
   /// then the rank order by ascending (distance, chunk id).
   ///
-  /// With a `budget` — a kMaxChunks stop — only the best
-  /// min(budget, num_chunks) chunks are selected and ordered, rank_order
-  /// holds just that prefix, and suffix_min_bound is left empty. The
-  /// default ranks the full order with a stable radix sort on the distance
-  /// bits, then fills the suffix-minimum lower bounds the exact and epsilon
-  /// rules stop on. Either way rank_order is bit-identical to the prefix of
-  /// the comparator-sorted order. Returns the modeled index-scan charge:
-  /// that of the whole index, whatever the budget. Public so tests can pin
-  /// the ranking to the scalar per-centroid reference.
+  /// With a `budget` — a kMaxChunks stop — below num_chunks, only the best
+  /// `budget` chunks are selected (std::nth_element) and sorted, rank_order
+  /// holds just that prefix, and suffix_min_bound is left empty. Otherwise
+  /// every chunk is sorted by the same comparator and the suffix-minimum
+  /// lower bounds the exact and epsilon rules stop on are filled. Either
+  /// way rank_order is the prefix of the full order. Returns the modeled
+  /// index-scan charge: that of the whole index, whatever the budget.
+  /// Public so tests can pin the ranking to the scalar per-centroid
+  /// reference.
   int64_t RankChunks(std::span<const float> query, SearchScratch& scratch,
                      size_t budget = kFullRanking) const;
 
