@@ -46,7 +46,7 @@ void Run(const ExperimentConfig& config) {
         auto result =
             searcher.Search(workload.Query(q), config.k, StopRule::Exact());
         QVT_CHECK_OK(result.status());
-        seconds += static_cast<double>(result->model_elapsed_micros) * 1e-6;
+        seconds += static_cast<double>(result->telemetry.model_micros) * 1e-6;
       }
       const ChunkCacheStats after = cache.Stats();
       const uint64_t hits = after.hits - hits_before;

@@ -41,7 +41,7 @@ SweepPoint RunStop(const IndexSuite& suite, const IndexVariant& variant,
     QVT_CHECK_OK(result.status());
     point.precision += PrecisionAtK(result->neighbors, truth.TruthFor(q),
                                     suite.config().k);
-    seconds.Add(static_cast<double>(result->model_elapsed_micros) * 1e-6);
+    seconds.Add(static_cast<double>(result->telemetry.model_micros) * 1e-6);
   }
   point.precision /= static_cast<double>(workload.num_queries());
   point.mean_seconds = seconds.Mean();

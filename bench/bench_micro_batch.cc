@@ -35,11 +35,10 @@
 #include "cluster/srtree_chunker.h"
 #include "core/batch_searcher.h"
 #include "core/chunk_index.h"
-#include "core/searcher.h"
+#include "core/search_method.h"
 #include "descriptor/generator.h"
 #include "descriptor/workload.h"
 #include "storage/chunk_cache.h"
-#include "storage/disk_cost_model.h"
 #include "util/clock.h"
 #include "util/env.h"
 #include "util/logging.h"
@@ -117,6 +116,20 @@ void BuildFixture(size_t images, size_t chunk_target, size_t max_batch,
   fx.queries = MakeDatasetQueries(fx.collection, max_batch, &rng);
 }
 
+/// The registry's "chunked" method over the fixture's index, prepared.
+std::unique_ptr<SearchMethod> ChunkedMethod(const Fixture& fx,
+                                            ChunkCache* cache,
+                                            PrefetcherOptions prefetch = {}) {
+  MethodContext context;
+  context.index = &*fx.index;
+  context.cache = cache;
+  context.prefetch = prefetch;
+  auto method = MethodRegistry::Global().Create("chunked", context);
+  QVT_CHECK_OK(method.status());
+  QVT_CHECK_OK((*method)->Prepare());
+  return std::move(method).value();
+}
+
 Workload Subset(const Workload& base, size_t count) {
   Workload sub;
   sub.name = base.name;
@@ -161,27 +174,26 @@ double MeasureBatchSeconds(const Fixture& fx, const Workload& workload,
   const StopRule stop = StopRule::MaxChunks(fx.max_chunks);
   PrefetcherOptions prefetch;
   prefetch.depth = 0;  // synchronous fetches; no pipeline threads
-  auto run = [&](const Searcher& searcher) {
-    BatchSearcher batch(&searcher, /*num_threads=*/1, shared);
+  auto run = [&](const SearchMethod& method) {
+    BatchSearcher batch(&method, /*num_threads=*/1, shared);
     auto result = batch.SearchAll(workload, kK, stop);
     QVT_CHECK_OK(result.status());
   };
   switch (mode) {
     case CacheMode::kNone: {
-      Searcher searcher(&*fx.index, DiskCostModel(), nullptr, prefetch);
-      return MeasureSeconds([&] { run(searcher); });
+      const auto method = ChunkedMethod(fx, nullptr, prefetch);
+      return MeasureSeconds([&] { run(*method); });
     }
     case CacheMode::kCold:
       return MeasureSeconds([&] {
         ChunkCache cache(fx.index_pages + 16);
-        Searcher searcher(&*fx.index, DiskCostModel(), &cache, prefetch);
-        run(searcher);
+        run(*ChunkedMethod(fx, &cache, prefetch));
       });
     case CacheMode::kWarm: {
       ChunkCache cache(fx.index_pages + 16);
-      Searcher searcher(&*fx.index, DiskCostModel(), &cache, prefetch);
-      run(searcher);  // pre-warm: decode every demanded chunk once
-      return MeasureSeconds([&] { run(searcher); });
+      const auto method = ChunkedMethod(fx, &cache, prefetch);
+      run(*method);  // pre-warm: decode every demanded chunk once
+      return MeasureSeconds([&] { run(*method); });
     }
   }
   return 0;
@@ -210,11 +222,6 @@ int Run(int argc, char** argv) {
       json_path = argv[++i];
     }
   }
-  // The cells drive the shared executor through the constructor switch;
-  // an inherited escape hatch would silently turn every "shared" cell
-  // into a second query-major measurement.
-  unsetenv("QVT_SHARED_SCAN");
-
   Fixture fx;
   BuildFixture(images, chunk_target, max_batch, &fx);
   std::cout << "### chunk-major batched execution: batch QPS shared vs "
@@ -266,8 +273,8 @@ int Run(int argc, char** argv) {
     dedup_cell.shared_qps =
         kDedupBatch / MeasureBatchSeconds(fx, dup, CacheMode::kNone, true);
     dedup_cell.speedup = dedup_cell.shared_qps / dedup_cell.unshared_qps;
-    Searcher searcher(&*fx.index, DiskCostModel());
-    BatchSearcher batch(&searcher, 1, /*shared_scan=*/true);
+    const auto method = ChunkedMethod(fx, nullptr);
+    BatchSearcher batch(method.get(), 1, /*shared_scan=*/true);
     auto result = batch.SearchAll(dup, kK, StopRule::MaxChunks(fx.max_chunks));
     QVT_CHECK_OK(result.status());
     dedup_hits = result->shared.dedup_hits;
@@ -283,8 +290,8 @@ int Run(int argc, char** argv) {
   SharedScanStats ledger;
   {
     const Workload workload = Subset(fx.queries, kHeadlineBatch);
-    Searcher searcher(&*fx.index, DiskCostModel());
-    BatchSearcher batch(&searcher, 1, /*shared_scan=*/true);
+    const auto method = ChunkedMethod(fx, nullptr);
+    BatchSearcher batch(method.get(), 1, /*shared_scan=*/true);
     auto result =
         batch.SearchAll(workload, kK, StopRule::MaxChunks(fx.max_chunks));
     QVT_CHECK_OK(result.status());

@@ -103,7 +103,8 @@ PassResult RunPass(const Searcher& searcher, const Collection& collection,
     auto result = searcher.Search(collection.Vector(pos), k,
                                   StopRule::Exact(), nullptr, &scratch);
     QVT_CHECK_OK(result.status());
-    pass.fingerprint = pass.fingerprint * 1000003 + result->chunks_read;
+    pass.fingerprint =
+        pass.fingerprint * 1000003 + result->telemetry.chunks_read;
     for (const Neighbor& n : result->neighbors) {
       pass.fingerprint = pass.fingerprint * 1000003 + n.id;
     }

@@ -222,9 +222,13 @@ int Main(int argc, char** argv) {
     }
     std::cout << v.label << ": " << index->Describe() << "\n";
 
-    const Searcher searcher(&*index, cost_model);
-    const std::unique_ptr<SearchMethod> method = WrapSearcher(&searcher);
-    auto points = RunTailSweep(*method, workload, &truth, k, budgets,
+    MethodContext context;
+    context.index = &*index;
+    context.cost_model = cost_model;
+    auto method = MethodRegistry::Global().Create("chunked", context);
+    QVT_CHECK_OK(method.status());
+    QVT_CHECK_OK((*method)->Prepare());
+    auto points = RunTailSweep(**method, workload, &truth, k, budgets,
                                /*num_threads=*/1);
     QVT_CHECK_OK(points.status()) << "tail sweep failed for " << v.label;
 

@@ -100,8 +100,8 @@ int main() {
           searcher.Search(queries.Query(q), k, StopRule::Exact(), observer);
       if (!result.ok()) return 1;
       if (chunks_when_done == 0) {
-        chunks_when_done = result->chunks_read;
-        micros_when_done = result->model_elapsed_micros;
+        chunks_when_done = result->telemetry.chunks_read;
+        micros_when_done = result->telemetry.model_micros;
       }
       chunks_to_k += static_cast<double>(chunks_when_done);
       seconds_to_k += static_cast<double>(micros_when_done) * 1e-6;

@@ -68,7 +68,7 @@ int main() {
   for (const auto& d : pirate_descriptors) {
     auto result = searcher.Search(d, /*k=*/5, StopRule::MaxChunks(2));
     if (!result.ok()) return 1;
-    total_model_micros += result->model_elapsed_micros;
+    total_model_micros += result->telemetry.model_micros;
     for (const Neighbor& n : result->neighbors) {
       ++votes[image_of[n.id]];
     }

@@ -51,7 +51,7 @@ int main() {
                                     StopRule::TimeBudget(budget_ms * 1000));
       if (!result.ok()) return 1;
       precision += PrecisionAtK(result->neighbors, truth.TruthFor(q), k);
-      chunks += static_cast<double>(result->chunks_read);
+      chunks += static_cast<double>(result->telemetry.chunks_read);
     }
     precision /= static_cast<double>(queries.num_queries());
     chunks /= static_cast<double>(queries.num_queries());
@@ -64,7 +64,7 @@ int main() {
   for (size_t q = 0; q < queries.num_queries(); ++q) {
     auto result = searcher.Search(queries.Query(q), k, StopRule::Exact());
     if (!result.ok()) return 1;
-    exact_seconds += result->model_elapsed_micros * 1e-6;
+    exact_seconds += result->telemetry.model_micros * 1e-6;
   }
   std::printf("\nexact search (precision 1.000 guaranteed): %.2f s modeled "
               "per query on average\n",

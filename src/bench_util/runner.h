@@ -86,14 +86,6 @@ StatusOr<BatchRunReport> RunMethodBatch(const SearchMethod& method,
                                         const StopRule& stop,
                                         size_t num_threads);
 
-/// Legacy entry point: wraps `searcher` in the unified chunked adapter and
-/// delegates to RunMethodBatch.
-StatusOr<BatchRunReport> RunWorkloadBatch(const Searcher& searcher,
-                                          const Workload& workload,
-                                          const GroundTruth* truth, size_t k,
-                                          const StopRule& stop,
-                                          size_t num_threads);
-
 /// One point of a quality-vs-tail-latency sweep: the batch report measured
 /// under one chunk budget. Budget 0 means run to conclusion (exact stop
 /// rule), anchoring the sweep's recall = 1 end.

@@ -2,9 +2,7 @@
 
 #include <atomic>
 #include <cmath>
-#include <cstdlib>
 #include <mutex>
-#include <string>
 #include <string_view>
 #include <unordered_map>
 #include <utility>
@@ -40,28 +38,11 @@ LatencyPercentiles Percentiles(const std::vector<MethodResult>& results,
   return LatencyPercentiles::FromStats(stats);
 }
 
-/// QVT_SHARED_SCAN=0|off|false forces query-major execution everywhere a
-/// BatchSearcher would otherwise coalesce — the operational escape hatch,
-/// mirroring QVT_SIMD / QVT_PREFETCH_DEPTH.
-bool SharedScanEnvEnabled() {
-  const char* env = std::getenv("QVT_SHARED_SCAN");
-  if (env == nullptr) return true;
-  const std::string_view value(env);
-  return value != "0" && value != "off" && value != "false";
-}
-
 }  // namespace
 
 BatchSearcher::BatchSearcher(const SearchMethod* method, size_t num_threads,
                              bool shared_scan)
     : method_(method),
-      num_threads_(num_threads == 0 ? 1 : num_threads),
-      shared_scan_(shared_scan) {}
-
-BatchSearcher::BatchSearcher(const Searcher* searcher, size_t num_threads,
-                             bool shared_scan)
-    : owned_method_(WrapSearcher(searcher)),
-      method_(owned_method_.get()),
       num_threads_(num_threads == 0 ? 1 : num_threads),
       shared_scan_(shared_scan) {}
 
@@ -75,8 +56,7 @@ StatusOr<BatchSearchResult> BatchSearcher::SearchAll(
   WallClock wall;
   Stopwatch stopwatch(&wall);
 
-  if (shared_scan_ && n > 1 && method_->SupportsSharedScan() &&
-      SharedScanEnvEnabled()) {
+  if (shared_scan_ && n > 1 && method_->SupportsSharedScan()) {
     // Chunk-major execution: dedup identical query vectors (byte-wise, so
     // only true replays coalesce), run the distinct ones through the
     // method's shared executor, fan duplicate answers back out in input

@@ -43,9 +43,9 @@ StatusOr<std::vector<ImageMatch>> ImageSearcher::Search(
     if (!result.ok()) return result.status();
 
     ++local_stats.descriptor_queries;
-    local_stats.chunks_read += result->chunks_read;
-    local_stats.model_elapsed_micros += result->model_elapsed_micros;
-    local_stats.wall_elapsed_micros += result->wall_elapsed_micros;
+    local_stats.chunks_read += result->telemetry.chunks_read;
+    local_stats.model_elapsed_micros += result->telemetry.model_micros;
+    local_stats.wall_elapsed_micros += result->telemetry.wall_micros;
 
     for (size_t rank = 0; rank < result->neighbors.size(); ++rank) {
       const Neighbor& n = result->neighbors[rank];

@@ -13,7 +13,6 @@
 #include "descriptor/types.h"
 #include "geometry/kernels.h"
 #include "geometry/vec.h"
-#include "storage/page.h"
 #include "util/build_stats.h"
 #include "util/clock.h"
 #include "util/logging.h"
@@ -158,16 +157,8 @@ Status PqMethod::Prepare() {
   if (prepared_) return Status::OK();
   QVT_RETURN_IF_ERROR(PrepareCompressed());
   QVT_RETURN_IF_ERROR(PrepareRerankRouting());
-  if (index_ != nullptr && config_.rerank > 0 && prefetch_options_.depth >= 1) {
-    const ChunkIndex* index = index_;
-    prefetcher_ = std::make_unique<ChunkPrefetcher>(
-        [index](uint32_t chunk_id, ChunkData* out) {
-          return index->ReadChunk(chunk_id, out);
-        },
-        [index](uint32_t chunk_id) {
-          return index->location(chunk_id).num_pages;
-        },
-        cache_, prefetch_options_);
+  if (index_ != nullptr && config_.rerank > 0) {
+    reader_.emplace(index_, cache_, prefetch_options_, std::nullopt);
   }
   prepared_ = true;
   return Status::OK();
@@ -417,46 +408,23 @@ StatusOr<std::vector<MethodResult>> PqMethod::SearchShared(
     for (const auto& [chunk_id, atts] : demands) {
       chunk_order.push_back(chunk_id);
     }
-    std::unique_ptr<PrefetchStream> stream;
-    if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(chunk_order);
+    const std::unique_ptr<PrefetchStream> stream =
+        reader_->OpenStream(chunk_order);
     ChunkData local;
     Status status = Status::OK();
     for (const uint32_t chunk_id : chunk_order) {
       Stopwatch chunk_watch(&wall);
-      std::shared_ptr<const ChunkData> cache_ref;
-      const ChunkData* chunk = nullptr;
-      bool from_cache = false;
-      if (stream != nullptr) {
-        status = stream->Next(&cache_ref, &chunk, &from_cache);
-      } else if (cache_ != nullptr) {
-        status = cache_->GetOrLoad(
-            chunk_id, index_->location(chunk_id).num_pages,
-            [&](ChunkData* out) { return index_->ReadChunk(chunk_id, out); },
-            &cache_ref, &from_cache);
-        if (status.ok()) chunk = cache_ref.get();
-      } else {
-        status = index_->ReadChunk(chunk_id, &local);
-        if (status.ok()) chunk = &local;
-      }
+      FetchedChunk fetched;
+      status = reader_->Fetch(chunk_id, stream.get(), &local, &fetched);
       if (!status.ok()) break;
+      const ChunkData* chunk = fetched.data;
 
       const std::vector<QueryDemand>& atts = demands[chunk_id];
       for (const QueryDemand& att : atts) {
         QueryTelemetry& t = states[att.query_index].result.telemetry;
-        // Same per-chunk ledger as RerankFromChunks, under the shared
+        // Fetched once, charged to every attached query under the shared
         // fetch's cache verdict.
-        if (cache_ != nullptr) {
-          from_cache ? ++t.cache_hits : ++t.cache_misses;
-        }
-        ++t.probes;
-        ++t.chunks_read;
-        if (!from_cache) {
-          t.bytes_read +=
-              static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
-              kPageSize;
-        }
-        t.max_probe_rows =
-            std::max(t.max_probe_rows, static_cast<uint64_t>(chunk->size()));
+        reader_->Charge(chunk_id, fetched.from_cache, &t);
         KnnResultSet& result_set = *exact[att.query_index];
         size_t found = 0;
         for (size_t j = 0; j < chunk->size() && found < att.wanted.size();
@@ -568,41 +536,16 @@ Status PqMethod::RerankFromChunks(std::span<const float> query,
   }
   for (std::vector<uint32_t>& w : wanted) std::sort(w.begin(), w.end());
 
-  std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(chunk_order);
+  const std::unique_ptr<PrefetchStream> stream =
+      reader_->OpenStream(chunk_order);
   ChunkData local;
   for (size_t ci = 0; ci < chunk_order.size(); ++ci) {
     const uint32_t chunk_id = chunk_order[ci];
-    std::shared_ptr<const ChunkData> cache_ref;
-    const ChunkData* chunk = nullptr;
-    bool from_cache = false;
-    if (stream != nullptr) {
-      QVT_RETURN_IF_ERROR(stream->Next(&cache_ref, &chunk, &from_cache));
-    } else if (cache_ != nullptr) {
-      QVT_RETURN_IF_ERROR(cache_->GetOrLoad(
-          chunk_id, index_->location(chunk_id).num_pages,
-          [&](ChunkData* out) { return index_->ReadChunk(chunk_id, out); },
-          &cache_ref, &from_cache));
-      chunk = cache_ref.get();
-    } else {
-      QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, &local));
-      chunk = &local;
-    }
-    // Verdicts only when a cache is wired; bytes only for chunks that came
-    // off the chunk file — the same ledger as Searcher.
-    if (cache_ != nullptr) {
-      from_cache ? ++telemetry->cache_hits : ++telemetry->cache_misses;
-    }
-    ++telemetry->probes;
-    ++telemetry->chunks_read;
-    if (!from_cache) {
-      telemetry->bytes_read +=
-          static_cast<uint64_t>(index_->location(chunk_id).num_pages) *
-          kPageSize;
-    }
-    telemetry->max_probe_rows =
-        std::max(telemetry->max_probe_rows,
-                 static_cast<uint64_t>(chunk->size()));
+    FetchedChunk fetched;
+    QVT_RETURN_IF_ERROR(
+        reader_->Fetch(chunk_id, stream.get(), &local, &fetched));
+    const ChunkData* chunk = fetched.data;
+    reader_->Charge(chunk_id, fetched.from_cache, telemetry);
 
     const std::vector<uint32_t>& want = wanted[ci];
     size_t found = 0;

@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "cluster/pq.h"
+#include "core/chunk_reader.h"
 #include "core/search_method.h"
 #include "storage/pq_file.h"
 
@@ -126,7 +127,9 @@ class PqMethod final : public SearchMethod {
   /// id -> collection position for the gather rerank when codes came from a
   /// file (identity otherwise). Sorted by id.
   std::vector<std::pair<uint32_t, uint32_t>> id_to_position_;
-  std::unique_ptr<ChunkPrefetcher> prefetcher_;
+  /// Fetches and charges the chunk-file rerank's reads (no disk model: pq
+  /// reports no model clock); engaged when a chunk index backs the rerank.
+  std::optional<ChunkReader> reader_;
 };
 
 /// Registers the "pq" method into `registry` (called by the global

@@ -17,7 +17,6 @@
 #include "descriptor/types.h"
 #include "geometry/vec.h"
 #include "storage/index_file.h"
-#include "storage/page.h"
 #include "util/clock.h"
 #include "util/logging.h"
 
@@ -151,24 +150,17 @@ void SortNeighbors(std::vector<Neighbor>* neighbors) {
 class ChunkedMethod final : public SearchMethod {
  public:
   explicit ChunkedMethod(const MethodContext& context)
-      : owned_(std::in_place, context.index, context.cost_model,
-               context.cache, context.prefetch),
-        searcher_(&*owned_),
-        index_(context.index) {}
-
-  /// Borrows a pre-configured searcher (WrapSearcher). The searcher is
-  /// ready by construction, so the wrapper skips the Prepare() gate.
-  explicit ChunkedMethod(const Searcher* searcher)
-      : searcher_(searcher), index_(searcher->index()), prepared_(true) {}
+      : searcher_(context.index, context.cost_model, context.cache,
+                  context.prefetch) {}
 
   std::string_view name() const override { return "chunked"; }
 
   std::string Describe() const override {
     std::ostringstream out;
-    out << "chunked §4.3 searcher: " << index_->num_chunks()
-        << " chunks, dim " << index_->dim()
-        << (searcher_->prefetcher() != nullptr ? ", prefetch on"
-                                               : ", prefetch off");
+    out << "chunked §4.3 searcher: " << searcher_.index()->num_chunks()
+        << " chunks, dim " << searcher_.index()->dim()
+        << (searcher_.prefetcher() != nullptr ? ", prefetch on"
+                                              : ", prefetch off");
     return out.str();
   }
 
@@ -188,9 +180,7 @@ class ChunkedMethod final : public SearchMethod {
                                 const StopRule& stop) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
     static thread_local SearchScratch scratch;
-    QVT_ASSIGN_OR_RETURN(SearchResult raw,
-                         searcher_->Search(query, k, stop, nullptr, &scratch));
-    return Convert(std::move(raw));
+    return searcher_.Search(query, k, stop, nullptr, &scratch);
   }
 
   StatusOr<MethodResult> SearchRange(std::span<const float> query,
@@ -198,10 +188,7 @@ class ChunkedMethod final : public SearchMethod {
                                      const StopRule& stop) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
     static thread_local SearchScratch scratch;
-    QVT_ASSIGN_OR_RETURN(
-        SearchResult raw,
-        searcher_->SearchRange(query, radius, stop, &scratch));
-    return Convert(std::move(raw));
+    return searcher_.SearchRange(query, radius, stop, &scratch);
   }
 
   bool SupportsSharedScan() const override { return true; }
@@ -211,52 +198,18 @@ class ChunkedMethod final : public SearchMethod {
       const StopRule& stop, size_t num_threads,
       SharedScanStats* stats) const override {
     QVT_RETURN_IF_ERROR(RequirePrepared(prepared_, name()));
-    QVT_ASSIGN_OR_RETURN(
-        std::vector<SearchResult> raw,
-        searcher_->SearchShared(queries, k, stop, num_threads, stats));
-    std::vector<MethodResult> results;
-    results.reserve(raw.size());
-    for (SearchResult& r : raw) results.push_back(Convert(std::move(r)));
-    return results;
+    return searcher_.SearchShared(queries, k, stop, num_threads, stats);
   }
 
   size_t ResidentBytes() const override {
     // Only the index entries stay resident (centroids, radii, locations);
     // chunk payloads live on disk and pass through the cache.
-    return index_->num_chunks() * IndexEntryBytes(index_->dim());
+    return searcher_.index()->num_chunks() *
+           IndexEntryBytes(searcher_.index()->dim());
   }
 
  private:
-  MethodResult Convert(SearchResult raw) const {
-    MethodResult result;
-    result.neighbors = std::move(raw.neighbors);
-    QueryTelemetry& t = result.telemetry;
-    t.wall_micros = raw.wall_elapsed_micros;
-    t.model_micros = raw.model_elapsed_micros;
-    t.model_overlapped_micros = raw.model_overlapped_micros;
-    t.plan.wall_micros = raw.rank_wall_micros;
-    t.plan.model_micros = raw.rank_model_micros;
-    t.scan.wall_micros = raw.wall_elapsed_micros - raw.rank_wall_micros;
-    t.scan.model_micros = raw.model_elapsed_micros - raw.rank_model_micros;
-    t.probes = raw.chunks_read;
-    t.index_entries_scanned = index_->num_chunks();
-    t.candidates_examined = raw.descriptors_processed;
-    t.descriptors_scanned = raw.descriptors_processed;
-    t.bytes_read = raw.pages_read * kPageSize;
-    t.chunks_read = raw.chunks_read;
-    t.max_probe_rows = raw.largest_chunk_descriptors;
-    t.cache_hits = raw.cache_hits;
-    t.cache_misses = raw.cache_misses;
-    t.prefetch = raw.prefetch;
-    t.exact = raw.exact;
-    return result;
-  }
-
-  /// Engaged when this method constructed its own searcher (registry path);
-  /// disengaged when wrapping a borrowed one (WrapSearcher).
-  std::optional<Searcher> owned_;
-  const Searcher* searcher_;
-  const ChunkIndex* index_;
+  Searcher searcher_;
   bool prepared_ = false;
 };
 
@@ -752,10 +705,6 @@ MethodRegistry BuildGlobalRegistry() {
 }
 
 }  // namespace
-
-std::unique_ptr<SearchMethod> WrapSearcher(const Searcher* searcher) {
-  return std::make_unique<ChunkedMethod>(searcher);
-}
 
 // --- MethodRegistry ---------------------------------------------------------
 

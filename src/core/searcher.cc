@@ -8,6 +8,7 @@
 #include <utility>
 
 #include "geometry/kernels.h"
+#include "util/clock.h"
 #include "util/logging.h"
 #include "util/thread_pool.h"
 
@@ -27,22 +28,104 @@ size_t RankBudget(const StopRule& stop) {
                                                  : Searcher::kFullRanking;
 }
 
+/// Result sink of Search: the running k-NN set. Its k-th distance shrinks
+/// as chunks are scanned, tightening both the abandon threshold and the
+/// exact stop test.
+class KnnSink {
+ public:
+  /// Search reads every ranked chunk it reaches.
+  static constexpr bool kSkipsChunks = false;
+
+  explicit KnnSink(size_t k) : result_set_(k) {}
+
+  bool full() const { return result_set_.full(); }
+  double KthDistance() const { return result_set_.KthDistance(); }
+  bool Skips(double /*lower_bound*/) const { return false; }
+
+  /// Scans the chunk in blocks through the batched kernel. Rows whose
+  /// partial sum provably exceeds the current k-th distance are abandoned
+  /// mid-row; AbandonThreshold()'s margin guarantees no row that could
+  /// enter the result set (ties included) is ever pruned, so results are
+  /// bit-identical to the plain per-row scan.
+  void Scan(const ChunkData& data, std::span<const float> query,
+            double* distances) {
+    const size_t dim = data.dim;
+    for (size_t b = 0; b < data.size(); b += kScanBlock) {
+      const size_t bn = std::min(kScanBlock, data.size() - b);
+      const double threshold =
+          kernels::AbandonThreshold(result_set_.KthDistance());
+      kernels::BatchSquaredDistanceAbandon(data.values.data() + b * dim, bn,
+                                           dim, query, threshold, distances);
+      for (size_t i = 0; i < bn; ++i) {
+        const double sq = distances[i];
+        if (sq == kernels::kAbandoned) continue;
+        result_set_.Insert(data.ids[b + i], std::sqrt(sq));
+      }
+    }
+  }
+
+  const KnnResultSet* knn() const { return &result_set_; }
+  std::vector<Neighbor> Take() const { return result_set_.Sorted(); }
+
+ private:
+  KnnResultSet result_set_;
+};
+
+/// Result sink of SearchRange: every row within the fixed query ball. The
+/// ball never shrinks, so the sink is always "full" at distance `radius`,
+/// and a chunk whose own lower bound lies outside the ball is skipped
+/// without I/O.
+class RangeSink {
+ public:
+  static constexpr bool kSkipsChunks = true;
+
+  explicit RangeSink(double radius) : radius_(radius) {}
+
+  bool full() const { return true; }
+  double KthDistance() const { return radius_; }
+  bool Skips(double lower_bound) const { return lower_bound > radius_; }
+
+  /// Blocked kernel scan with one abandon threshold for every block.
+  void Scan(const ChunkData& data, std::span<const float> query,
+            double* distances) {
+    const size_t dim = data.dim;
+    const double threshold = kernels::AbandonThreshold(radius_);
+    for (size_t b = 0; b < data.size(); b += kScanBlock) {
+      const size_t bn = std::min(kScanBlock, data.size() - b);
+      kernels::BatchSquaredDistanceAbandon(data.values.data() + b * dim, bn,
+                                           dim, query, threshold, distances);
+      for (size_t i = 0; i < bn; ++i) {
+        const double sq = distances[i];
+        if (sq == kernels::kAbandoned) continue;
+        const double d = std::sqrt(sq);
+        if (d <= radius_) neighbors_.push_back({data.ids[b + i], d});
+      }
+    }
+  }
+
+  const KnnResultSet* knn() const { return nullptr; }
+  std::vector<Neighbor> Take() {
+    std::sort(neighbors_.begin(), neighbors_.end(),
+              [](const Neighbor& a, const Neighbor& b) {
+                if (a.distance != b.distance) return a.distance < b.distance;
+                return a.id < b.id;
+              });
+    return std::move(neighbors_);
+  }
+
+ private:
+  double radius_;
+  std::vector<Neighbor> neighbors_;
+};
+
 }  // namespace
 
 Searcher::Searcher(const ChunkIndex* index, const DiskCostModel& cost_model,
                    ChunkCache* cache, PrefetcherOptions prefetch)
-    : index_(index), cost_model_(cost_model), cache_(cache) {
+    : index_(index),
+      cost_model_(cost_model),
+      reader_(index, cache, prefetch, cost_model) {
   QVT_CHECK(index != nullptr);
-  if (prefetch.depth >= 1) {
-    prefetcher_ = std::make_unique<ChunkPrefetcher>(
-        [index](uint32_t chunk_id, ChunkData* out) {
-          return index->ReadChunk(chunk_id, out);
-        },
-        [index](uint32_t chunk_id) {
-          return index->location(chunk_id).num_pages;
-        },
-        cache, prefetch);
-  }
 }
 
 int64_t Searcher::RankChunks(std::span<const float> query,
@@ -106,29 +189,105 @@ int64_t Searcher::RankChunks(std::span<const float> query,
   return model_micros;
 }
 
-Status Searcher::FetchChunk(uint32_t chunk_id, SearchScratch& scratch,
-                            std::shared_ptr<const ChunkData>* cache_ref,
-                            const ChunkData** data, bool* from_cache) const {
-  *from_cache = false;
-  if (cache_ != nullptr) {
-    // Single-flight read-through: concurrent misses on one chunk coalesce
-    // into one disk read (no thundering herd), and the scan reads straight
-    // out of the returned handle — no post-scan Put, no copy.
-    bool was_hit = false;
-    QVT_RETURN_IF_ERROR(cache_->GetOrLoad(
-        chunk_id, index_->location(chunk_id).num_pages,
-        [&](ChunkData* out) { return index_->ReadChunk(chunk_id, out); },
-        cache_ref, &was_hit));
-    *data = cache_ref->get();
-    *from_cache = was_hit;
-    return Status::OK();
-  }
-  QVT_RETURN_IF_ERROR(index_->ReadChunk(chunk_id, &scratch.chunk));
-  *data = &scratch.chunk;
-  return Status::OK();
+void Searcher::FinishTelemetry(int64_t wall_micros, QueryTelemetry& t) const {
+  t.wall_micros = wall_micros;
+  t.scan.wall_micros = wall_micros - t.plan.wall_micros;
+  t.scan.model_micros = t.model_micros - t.plan.model_micros;
+  t.index_entries_scanned = index_->num_chunks();
+  t.candidates_examined = t.descriptors_scanned;
 }
 
-StatusOr<SearchResult> Searcher::Search(std::span<const float> query,
+template <typename Sink>
+StatusOr<MethodResult> Searcher::ScanInRankOrder(
+    std::span<const float> query, const StopRule& stop, size_t rank_budget,
+    Sink& sink, const SearchObserver& observer, SearchScratch& s) const {
+  WallClock wall;
+  Stopwatch stopwatch(&wall);
+  MethodResult result;
+  QueryTelemetry& t = result.telemetry;
+
+  // --- Step 1: rank chunks by centroid distance (§4.3). -------------------
+  // Under a budget only that prefix is ranked: rank_order holds exactly the
+  // chunks the stop rule lets the loop below read.
+  t.model_micros = RankChunks(query, s, rank_budget);
+  t.plan.model_micros = t.model_micros;
+  t.plan.wall_micros = stopwatch.ElapsedMicros();
+
+  // --- Steps 2 & 3: read chunks in rank order under the stop rule. --------
+  // The read schedule is fully known now — the ranked chunks minus those
+  // the sink skips on ranking data alone — so the pipelined path opens a
+  // read-ahead stream over exactly it; delivery stays in rank order and the
+  // stream's cache verdicts match the synchronous fetch, so everything
+  // below is identical either way but wall time.
+  const auto lower_bound = [&](uint32_t chunk_id) {
+    return s.centroid_distance[chunk_id] - index_->radius(chunk_id);
+  };
+  std::span<const uint32_t> schedule = s.rank_order;
+  if (Sink::kSkipsChunks && reader_.prefetcher() != nullptr) {
+    s.fetch_order.clear();
+    for (const uint32_t chunk_id : s.rank_order) {
+      if (!sink.Skips(lower_bound(chunk_id))) s.fetch_order.push_back(chunk_id);
+    }
+    schedule = s.fetch_order;
+  }
+  const std::unique_ptr<PrefetchStream> stream = reader_.OpenStream(schedule);
+  OverlappedScanTimeline timeline = reader_.Timeline(t.model_micros);
+  s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
+
+  size_t r = 0;
+  for (; r < s.rank_order.size(); ++r) {
+    // Stop checks happen before reading the next chunk.
+    if (stop.kind == StopRule::Kind::kMaxChunks &&
+        t.chunks_read >= stop.max_chunks) {
+      break;
+    }
+    if (stop.kind == StopRule::Kind::kTimeBudget &&
+        t.model_micros >= stop.budget_micros) {
+      break;
+    }
+    if (stop.kind == StopRule::Kind::kExact && sink.full() &&
+        s.suffix_min_bound[r] * (1.0 + stop.epsilon) > sink.KthDistance()) {
+      t.exact = stop.epsilon == 0.0;
+      break;
+    }
+    const uint32_t chunk_id = s.rank_order[r];
+    if (Sink::kSkipsChunks && sink.Skips(lower_bound(chunk_id))) continue;
+
+    FetchedChunk chunk;
+    QVT_RETURN_IF_ERROR(reader_.Fetch(chunk_id, stream.get(), &s.chunk,
+                                      &chunk));
+    sink.Scan(*chunk.data, query, s.distances.data());
+    t.descriptors_scanned += chunk.data->size();
+    const ChunkCharge charge = reader_.Charge(chunk_id, chunk.from_cache, &t);
+    timeline.AddChunk(charge.io_micros, charge.cpu_micros);
+
+    if (observer) {
+      SearchProgress progress;
+      progress.chunks_read = t.chunks_read;
+      progress.chunk_descriptors = index_->location(chunk_id).num_descriptors;
+      progress.descriptors_processed = t.descriptors_scanned;
+      progress.model_elapsed_micros = t.model_micros;
+      progress.wall_elapsed_micros = stopwatch.ElapsedMicros();
+      progress.result = sink.knn();
+      observer(progress);
+    }
+  }
+  // Running out of ranked chunks under the exact rule means every chunk
+  // that could matter was read: exact by construction.
+  if (stop.kind == StopRule::Kind::kExact && r == s.rank_order.size()) {
+    t.exact = true;
+  }
+
+  // A stop rule firing mid-order leaves reads in flight: cancel them now
+  // (workers skip preads not yet started) and harvest the counters.
+  if (stream != nullptr) t.prefetch = stream->Finish();
+  result.neighbors = sink.Take();
+  t.model_overlapped_micros = timeline.ElapsedMicros();
+  FinishTelemetry(stopwatch.ElapsedMicros(), t);
+  return result;
+}
+
+StatusOr<MethodResult> Searcher::Search(std::span<const float> query,
                                         size_t k, const StopRule& stop,
                                         const SearchObserver& observer,
                                         SearchScratch* scratch) const {
@@ -137,125 +296,30 @@ StatusOr<SearchResult> Searcher::Search(std::span<const float> query,
     return Status::InvalidArgument("query dimensionality mismatch");
   }
   SearchScratch local_scratch;
-  SearchScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  const size_t num_chunks = index_->num_chunks();
+  KnnSink sink(k);
+  return ScanInRankOrder(query, stop, RankBudget(stop), sink, observer,
+                         scratch != nullptr ? *scratch : local_scratch);
+}
 
-  WallClock wall;
-  Stopwatch stopwatch(&wall);
-
-  // --- Step 1: rank chunks by centroid distance (§4.3). -------------------
-  // Under kMaxChunks only the budget prefix is ranked: rank_order holds
-  // exactly the chunks the stop rule lets the loop below read.
-  int64_t model_micros = RankChunks(query, s, RankBudget(stop));
-  const int64_t rank_model_micros = model_micros;
-  const int64_t rank_wall_micros = stopwatch.ElapsedMicros();
-
-  // --- Steps 2 & 3: scan chunks in rank order under the stop rule. --------
-  // The read schedule is fully known now, so the pipelined path opens a
-  // read-ahead stream over it — never past the chunk budget; delivery stays
-  // strictly in rank order and the stream's consume-time cache verdicts
-  // match the synchronous FetchChunk exactly, so everything below is
-  // identical either way but wall time.
-  std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(s.rank_order);
-  OverlappedScanTimeline timeline(
-      prefetcher_ != nullptr ? prefetcher_->depth() : 0, model_micros);
-
-  KnnResultSet result_set(k);
-  SearchResult result;
-  s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
-
-  // The kMaxChunks stop is the loop bound: rank_order is the budget prefix.
-  for (size_t r = 0; r < s.rank_order.size(); ++r) {
-    // Stop checks happen before reading the next chunk.
-    if (stop.kind == StopRule::Kind::kTimeBudget &&
-        model_micros >= stop.budget_micros) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kExact && result_set.full() &&
-        s.suffix_min_bound[r] * (1.0 + stop.epsilon) >
-            result_set.KthDistance()) {
-      result.exact = stop.epsilon == 0.0;
-      break;
-    }
-
-    const uint32_t chunk_id = s.rank_order[r];
-    const ChunkLocation& loc = index_->location(chunk_id);
-
-    std::shared_ptr<const ChunkData> cache_ref;
-    const ChunkData* data = nullptr;
-    bool from_cache = false;
-    QVT_RETURN_IF_ERROR(
-        stream != nullptr
-            ? stream->Next(&cache_ref, &data, &from_cache)
-            : FetchChunk(chunk_id, s, &cache_ref, &data, &from_cache));
-
-    // Scan the chunk in blocks through the batched kernel. Rows whose
-    // partial sum provably exceeds the current k-th distance are abandoned
-    // mid-row; AbandonThreshold()'s margin guarantees no row that could
-    // enter the result set (ties included) is ever pruned, so results are
-    // bit-identical to the plain per-row scan.
-    const size_t dim = data->dim;
-    for (size_t b = 0; b < data->size(); b += kScanBlock) {
-      const size_t bn = std::min(kScanBlock, data->size() - b);
-      const double threshold =
-          kernels::AbandonThreshold(result_set.KthDistance());
-      kernels::BatchSquaredDistanceAbandon(data->values.data() + b * dim, bn,
-                                           dim, query, threshold,
-                                           s.distances.data());
-      for (size_t i = 0; i < bn; ++i) {
-        const double sq = s.distances[i];
-        if (sq == kernels::kAbandoned) continue;
-        result_set.Insert(data->ids[b + i], std::sqrt(sq));
-      }
-    }
-
-    ++result.chunks_read;
-    result.descriptors_processed += data->size();
-    result.largest_chunk_descriptors = std::max(
-        result.largest_chunk_descriptors, loc.num_descriptors);
-    if (cache_ != nullptr) {
-      from_cache ? ++result.cache_hits : ++result.cache_misses;
-    }
-    if (!from_cache) result.pages_read += loc.num_pages;
-    // Cache hits skip the disk entirely: CPU cost only.
-    model_micros +=
-        from_cache
-            ? cost_model_.ChunkCpuMicros(loc.num_descriptors)
-            : cost_model_.ChunkTotalMicros(loc.num_pages,
-                                           loc.num_descriptors);
-    timeline.AddChunk(
-        from_cache ? 0 : cost_model_.ChunkIoMicros(loc.num_pages),
-        cost_model_.ChunkCpuMicros(loc.num_descriptors));
-
-    if (observer) {
-      SearchProgress progress;
-      progress.chunks_read = result.chunks_read;
-      progress.chunk_descriptors = loc.num_descriptors;
-      progress.descriptors_processed = result.descriptors_processed;
-      progress.model_elapsed_micros = model_micros;
-      progress.wall_elapsed_micros = stopwatch.ElapsedMicros();
-      progress.result = &result_set;
-      observer(progress);
-    }
+StatusOr<MethodResult> Searcher::SearchRange(std::span<const float> query,
+                                             double radius,
+                                             const StopRule& stop,
+                                             SearchScratch* scratch) const {
+  if (radius < 0.0) {
+    return Status::InvalidArgument("radius must be non-negative");
   }
-
-  // A query that scanned every chunk is exact by construction.
-  if (stop.kind == StopRule::Kind::kExact &&
-      result.chunks_read == num_chunks) {
-    result.exact = true;
+  if (query.size() != index_->dim()) {
+    return Status::InvalidArgument("query dimensionality mismatch");
   }
-
-  // A stop rule firing mid-order leaves reads in flight: cancel them now
-  // (workers skip preads not yet started) and harvest the counters.
-  if (stream != nullptr) result.prefetch = stream->Finish();
-  result.neighbors = result_set.Sorted();
-  result.model_elapsed_micros = model_micros;
-  result.model_overlapped_micros = timeline.ElapsedMicros();
-  result.wall_elapsed_micros = stopwatch.ElapsedMicros();
-  result.rank_model_micros = rank_model_micros;
-  result.rank_wall_micros = rank_wall_micros;
-  return result;
+  SearchScratch local_scratch;
+  RangeSink sink(radius);
+  // The ball does not shrink, so epsilon buys nothing: kExact stops once no
+  // unread chunk can intersect it. Skipped chunks do not count against a
+  // chunk budget, so the whole order is ranked.
+  StopRule ball_stop = stop;
+  ball_stop.epsilon = 0.0;
+  return ScanInRankOrder(query, ball_stop, kFullRanking, sink, nullptr,
+                         scratch != nullptr ? *scratch : local_scratch);
 }
 
 namespace {
@@ -268,15 +332,15 @@ struct SharedQueryState {
   std::vector<double> wide_query;  ///< pre-widened for the fused kernels
   SearchScratch scratch;
   std::optional<KnnResultSet> result_set;
-  SearchResult result;
-  int64_t model_micros = 0;  ///< as-if-alone serial model clock
-  int64_t wall_micros = 0;   ///< fair-share wall attribution
+  /// telemetry.model_micros runs the as-if-alone serial model clock and
+  /// telemetry.wall_micros the fair-share wall attribution.
+  MethodResult result;
   /// (io, cpu) model charge of the chunk at each rank position, indexed by
   /// rank. The schedule may visit chunks out of rank order (kMaxChunks mode
   /// sorts by chunk id), so overlapped-timeline replay happens at finalize,
   /// in rank order — making model_overlapped_micros identical to the
   /// per-query path's in-order accumulation.
-  std::vector<std::pair<int64_t, int64_t>> charges;
+  std::vector<ChunkCharge> charges;
   size_t next_rank = 0;  ///< next rank position to demand (round mode)
 };
 
@@ -338,7 +402,7 @@ void SweepChunkForQueries(const ChunkData& data,
 
 }  // namespace
 
-StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
+StatusOr<std::vector<MethodResult>> Searcher::SearchShared(
     std::span<const std::span<const float>> queries, size_t k,
     const StopRule& stop, size_t num_threads,
     SharedScanStats* shared) const {
@@ -358,11 +422,12 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
   for (size_t i = 0; i < nq; ++i) {
     SharedQueryState& q = states[i];
     q.query = queries[i];
+    QueryTelemetry& t = q.result.telemetry;
     Stopwatch plan_watch(&wall);
-    q.model_micros = RankChunks(q.query, q.scratch, RankBudget(stop));
-    q.result.rank_model_micros = q.model_micros;
-    q.result.rank_wall_micros = plan_watch.ElapsedMicros();
-    q.wall_micros = q.result.rank_wall_micros;
+    t.model_micros = RankChunks(q.query, q.scratch, RankBudget(stop));
+    t.plan.model_micros = t.model_micros;
+    t.plan.wall_micros = plan_watch.ElapsedMicros();
+    t.wall_micros = t.plan.wall_micros;
     q.result_set.emplace(k);
     q.scratch.distances.resize(kScanBlock);  // sweep output, reserved once
     q.wide_query.resize(q.query.size());
@@ -377,7 +442,7 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
 
   std::optional<ThreadPool> pool;
   if (num_threads > 1 && nq > 1) pool.emplace(num_threads);
-  SearchScratch fetch_scratch;  // backs cache-less synchronous fetches
+  ChunkData fetch_buffer;  // backs cache-less synchronous fetches
   // One sweep scratch per worker, reused across every chunk and schedule.
   std::vector<SweepScratch> sweeps(pool.has_value() ? pool->num_threads()
                                                     : 1);
@@ -385,30 +450,23 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
   // Fetches and sweeps one schedule: the distinct chunk ids in `order`,
   // each swept once for its attached queries — chunk ci's attachments are
   // atts[range_end[ci-1] .. range_end[ci]). Per-attachment accounting is
-  // "as-if-alone": every attached query is charged the chunk's full model
-  // cost under the shared fetch's cache verdict — the same verdict the
-  // query-major path would see given the same cache state.
+  // "as-if-alone": the chunk is fetched once and charged to every attached
+  // query in full under the shared fetch's cache verdict — the same verdict
+  // the query-major path would see given the same cache state.
   auto process = [&](const std::vector<uint32_t>& order,
                      const std::vector<size_t>& range_end,
                      const std::vector<ChunkAttachment>& flat_atts)
       -> Status {
-    std::unique_ptr<PrefetchStream> stream;
-    if (prefetcher_ != nullptr) stream = prefetcher_->NewStream(order);
+    const std::unique_ptr<PrefetchStream> stream = reader_.OpenStream(order);
     Status status = Status::OK();
     Stopwatch sweep_watch(&wall);
     int64_t last_micros = 0;
     for (size_t ci = 0; ci < order.size(); ++ci) {
       const uint32_t chunk_id = order[ci];
-      const ChunkLocation& loc = index_->location(chunk_id);
-
-      std::shared_ptr<const ChunkData> cache_ref;
-      const ChunkData* data = nullptr;
-      bool from_cache = false;
-      status = stream != nullptr
-                   ? stream->Next(&cache_ref, &data, &from_cache)
-                   : FetchChunk(chunk_id, fetch_scratch, &cache_ref, &data,
-                                &from_cache);
+      FetchedChunk chunk;
+      status = reader_.Fetch(chunk_id, stream.get(), &fetch_buffer, &chunk);
       if (!status.ok()) break;
+      const ChunkData* data = chunk.data;
 
       const size_t att_begin = ci == 0 ? 0 : range_end[ci - 1];
       const std::span<const ChunkAttachment> atts =
@@ -432,9 +490,6 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
         SweepChunkForQueries(*data, atts, sweeps.front());
       }
 
-      const int64_t io_micros = cost_model_.ChunkIoMicros(loc.num_pages);
-      const int64_t cpu_micros =
-          cost_model_.ChunkCpuMicros(loc.num_descriptors);
       // One clock read per chunk: the share is the delta since the
       // previous chunk finished (fetch + sweep), split evenly.
       const int64_t now_micros = sweep_watch.ElapsedMicros();
@@ -443,27 +498,16 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
       last_micros = now_micros;
       for (const ChunkAttachment& att : atts) {
         SharedQueryState& q = *att.state;
-        SearchResult& r = q.result;
-        ++r.chunks_read;
-        r.descriptors_processed += data->size();
-        r.largest_chunk_descriptors =
-            std::max(r.largest_chunk_descriptors, loc.num_descriptors);
-        if (cache_ != nullptr) {
-          from_cache ? ++r.cache_hits : ++r.cache_misses;
-        }
-        if (!from_cache) r.pages_read += loc.num_pages;
-        q.model_micros +=
-            from_cache ? cpu_micros
-                       : cost_model_.ChunkTotalMicros(loc.num_pages,
-                                                      loc.num_descriptors);
-        const std::pair<int64_t, int64_t> charge{from_cache ? 0 : io_micros,
-                                                 cpu_micros};
+        QueryTelemetry& t = q.result.telemetry;
+        t.descriptors_scanned += data->size();
+        const ChunkCharge charge =
+            reader_.Charge(chunk_id, chunk.from_cache, &t);
         if (q.charges.size() > att.rank) {
           q.charges[att.rank] = charge;
         } else {
           q.charges.push_back(charge);  // round mode pushes in rank order
         }
-        q.wall_micros += wall_share;
+        t.wall_micros += wall_share;
       }
       if (shared != nullptr) {
         ++shared->chunk_fetches;
@@ -565,17 +609,19 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
         const size_t r = q->next_rank;
         if (r == q->scratch.rank_order.size()) {
           // Scanned every chunk: exact by construction.
-          if (stop.kind == StopRule::Kind::kExact) q->result.exact = true;
+          if (stop.kind == StopRule::Kind::kExact) {
+            q->result.telemetry.exact = true;
+          }
           continue;
         }
         if (stop.kind == StopRule::Kind::kTimeBudget &&
-            q->model_micros >= stop.budget_micros) {
+            q->result.telemetry.model_micros >= stop.budget_micros) {
           continue;
         }
         if (stop.kind == StopRule::Kind::kExact && q->result_set->full() &&
             q->scratch.suffix_min_bound[r] * (1.0 + stop.epsilon) >
                 q->result_set->KthDistance()) {
-          q->result.exact = stop.epsilon == 0.0;
+          q->result.telemetry.exact = stop.epsilon == 0.0;
           continue;
         }
         demands.emplace_back(q->scratch.rank_order[r],
@@ -590,144 +636,20 @@ StatusOr<std::vector<SearchResult>> Searcher::SearchShared(
   }
 
   // --- Finalize: replay charges in rank order, assemble results. ----------
-  std::vector<SearchResult> results;
+  std::vector<MethodResult> results;
   results.reserve(nq);
   for (SharedQueryState& q : states) {
-    OverlappedScanTimeline timeline(
-        prefetcher_ != nullptr ? prefetcher_->depth() : 0,
-        q.result.rank_model_micros);
-    for (size_t r = 0; r < q.result.chunks_read; ++r) {
-      timeline.AddChunk(q.charges[r].first, q.charges[r].second);
+    QueryTelemetry& t = q.result.telemetry;
+    OverlappedScanTimeline timeline = reader_.Timeline(t.plan.model_micros);
+    for (size_t r = 0; r < t.chunks_read; ++r) {
+      timeline.AddChunk(q.charges[r].io_micros, q.charges[r].cpu_micros);
     }
     q.result.neighbors = q.result_set->Sorted();
-    q.result.model_elapsed_micros = q.model_micros;
-    q.result.model_overlapped_micros = timeline.ElapsedMicros();
-    q.result.wall_elapsed_micros = q.wall_micros;
+    t.model_overlapped_micros = timeline.ElapsedMicros();
+    FinishTelemetry(t.wall_micros, t);
     results.push_back(std::move(q.result));
   }
   return results;
-}
-
-StatusOr<SearchResult> Searcher::SearchRange(std::span<const float> query,
-                                             double radius,
-                                             const StopRule& stop,
-                                             SearchScratch* scratch) const {
-  if (radius < 0.0) {
-    return Status::InvalidArgument("radius must be non-negative");
-  }
-  if (query.size() != index_->dim()) {
-    return Status::InvalidArgument("query dimensionality mismatch");
-  }
-  SearchScratch local_scratch;
-  SearchScratch& s = scratch != nullptr ? *scratch : local_scratch;
-  const size_t num_chunks = index_->num_chunks();
-
-  WallClock wall;
-  Stopwatch stopwatch(&wall);
-
-  // Rank chunks by centroid distance, as in Search().
-  int64_t model_micros = RankChunks(query, s);
-  const int64_t rank_model_micros = model_micros;
-  const int64_t rank_wall_micros = stopwatch.ElapsedMicros();
-
-  // The intersect filter below depends only on ranking data, so the
-  // pipelined read schedule — exactly the chunks the loop will fetch, in
-  // rank order — is known up front; skipped chunks are never prefetched.
-  std::unique_ptr<PrefetchStream> stream;
-  if (prefetcher_ != nullptr) {
-    s.fetch_order.clear();
-    for (size_t r = 0; r < num_chunks; ++r) {
-      const uint32_t chunk_id = s.rank_order[r];
-      if (s.centroid_distance[chunk_id] - index_->radius(chunk_id) <=
-          radius) {
-        s.fetch_order.push_back(chunk_id);
-      }
-    }
-    stream = prefetcher_->NewStream(s.fetch_order);
-  }
-  OverlappedScanTimeline timeline(
-      prefetcher_ != nullptr ? prefetcher_->depth() : 0, model_micros);
-
-  SearchResult result;
-  s.distances.resize(kScanBlock);  // scan scratch, reserved once per query
-  for (size_t r = 0; r < num_chunks; ++r) {
-    if (stop.kind == StopRule::Kind::kMaxChunks &&
-        result.chunks_read >= stop.max_chunks) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kTimeBudget &&
-        model_micros >= stop.budget_micros) {
-      break;
-    }
-    if (stop.kind == StopRule::Kind::kExact &&
-        s.suffix_min_bound[r] > radius) {
-      result.exact = true;
-      break;
-    }
-    // Skip chunks whose own bound proves they cannot intersect the ball
-    // (cheap: the ranking is already computed; no I/O is charged).
-    const uint32_t chunk_id = s.rank_order[r];
-    const ChunkLocation& loc = index_->location(chunk_id);
-    if (s.centroid_distance[chunk_id] - index_->radius(chunk_id) > radius) {
-      continue;
-    }
-
-    std::shared_ptr<const ChunkData> cache_ref;
-    const ChunkData* data = nullptr;
-    bool from_cache = false;
-    QVT_RETURN_IF_ERROR(
-        stream != nullptr
-            ? stream->Next(&cache_ref, &data, &from_cache)
-            : FetchChunk(chunk_id, s, &cache_ref, &data, &from_cache));
-
-    // Blocked kernel scan with a fixed abandon threshold: the query radius
-    // never shrinks, so every block prunes against the same bound.
-    const size_t dim = data->dim;
-    const double threshold = kernels::AbandonThreshold(radius);
-    for (size_t b = 0; b < data->size(); b += kScanBlock) {
-      const size_t bn = std::min(kScanBlock, data->size() - b);
-      kernels::BatchSquaredDistanceAbandon(data->values.data() + b * dim, bn,
-                                           dim, query, threshold,
-                                           s.distances.data());
-      for (size_t i = 0; i < bn; ++i) {
-        const double sq = s.distances[i];
-        if (sq == kernels::kAbandoned) continue;
-        const double d = std::sqrt(sq);
-        if (d <= radius) result.neighbors.push_back({data->ids[b + i], d});
-      }
-    }
-    ++result.chunks_read;
-    result.descriptors_processed += data->size();
-    result.largest_chunk_descriptors = std::max(
-        result.largest_chunk_descriptors, loc.num_descriptors);
-    if (cache_ != nullptr) {
-      from_cache ? ++result.cache_hits : ++result.cache_misses;
-    }
-    if (!from_cache) result.pages_read += loc.num_pages;
-    // Same accounting as Search(): resident chunks cost CPU only.
-    model_micros +=
-        from_cache
-            ? cost_model_.ChunkCpuMicros(loc.num_descriptors)
-            : cost_model_.ChunkTotalMicros(loc.num_pages,
-                                           loc.num_descriptors);
-    timeline.AddChunk(
-        from_cache ? 0 : cost_model_.ChunkIoMicros(loc.num_pages),
-        cost_model_.ChunkCpuMicros(loc.num_descriptors));
-  }
-  if (stop.kind == StopRule::Kind::kExact) result.exact = true;
-  if (stream != nullptr) result.prefetch = stream->Finish();
-
-  std::sort(result.neighbors.begin(), result.neighbors.end(),
-            [](const Neighbor& a, const Neighbor& b) {
-              if (a.distance != b.distance) return a.distance < b.distance;
-              return a.id < b.id;
-            });
-  result.model_elapsed_micros = model_micros;
-  result.model_overlapped_micros = timeline.ElapsedMicros();
-  result.wall_elapsed_micros = stopwatch.ElapsedMicros();
-  result.rank_model_micros = rank_model_micros;
-  result.rank_wall_micros = rank_wall_micros;
-  return result;
 }
 
 }  // namespace qvt

@@ -8,12 +8,12 @@
 #include <vector>
 
 #include "core/chunk_index.h"
+#include "core/chunk_reader.h"
 #include "core/result_set.h"
 #include "core/telemetry.h"
 #include "storage/chunk_cache.h"
 #include "storage/disk_cost_model.h"
 #include "storage/prefetcher.h"
-#include "util/clock.h"
 #include "util/statusor.h"
 
 namespace qvt {
@@ -71,40 +71,6 @@ struct SearchProgress {
 
 using SearchObserver = std::function<void(const SearchProgress&)>;
 
-/// Final answer of one query.
-struct SearchResult {
-  std::vector<Neighbor> neighbors;   ///< ascending distance
-  size_t chunks_read = 0;
-  uint64_t descriptors_processed = 0;
-  /// Population of the largest chunk this query scanned — the per-query
-  /// exposure to chunk imbalance that drives tail latency (a query probing
-  /// one giant chunk pays its whole scan and transfer alone).
-  uint32_t largest_chunk_descriptors = 0;
-  /// Disk pages of the chunks actually fetched from the chunk file (cache
-  /// hits excluded) — bytes_read = pages_read * kPageSize.
-  uint64_t pages_read = 0;
-  /// Cache verdicts over the chunks read; both zero when no cache is wired.
-  uint64_t cache_hits = 0;
-  uint64_t cache_misses = 0;
-  int64_t model_elapsed_micros = 0;
-  int64_t wall_elapsed_micros = 0;
-  /// Step-1 (chunk ranking) share of the elapsed time, on both clocks.
-  int64_t rank_wall_micros = 0;
-  int64_t rank_model_micros = 0;
-  /// Modeled wall time with the prefetch pipeline overlapping chunk I/O and
-  /// CPU across the rank order (OverlappedScanTimeline, at the searcher's
-  /// actual prefetch depth; 0 when the pipeline is disabled — then each
-  /// chunk charges io + cpu serially). Reported alongside — never instead
-  /// of — the paper's serial accounting in model_elapsed_micros, which also
-  /// remains the kTimeBudget stop authority.
-  int64_t model_overlapped_micros = 0;
-  /// Read-ahead counters of this query's prefetch stream; all zero on the
-  /// synchronous (depth 0) path.
-  PrefetchStats prefetch;
-  /// True when the exact stop rule proved no better neighbor exists.
-  bool exact = false;
-};
-
 /// Per-call working memory of one search. A Searcher holds no mutable state
 /// of its own; callers that issue many queries from one thread pass the same
 /// scratch back in to reuse its allocations, and concurrent callers simply
@@ -127,9 +93,14 @@ struct SearchScratch {
 ///     against the query and updating the running k-NN set;
 ///  3. stop per the StopRule.
 ///
-/// Elapsed time is tracked twice: on the host wall clock and on the
+/// Every search fills the unified MethodResult / QueryTelemetry record
+/// itself. Elapsed time is tracked on the host wall clock and on the
 /// DiskCostModel (deterministic 2005-hardware timeline used by the
-/// experiment figures — see DESIGN.md substitution 2).
+/// experiment figures — see DESIGN.md substitution 2): telemetry.model_micros
+/// is the paper's serial charge, model_overlapped_micros the prefetch
+/// pipeline's OverlappedScanTimeline, plan the ranking share of both clocks
+/// and scan the rest. Every chunk is fetched and charged through the one
+/// ChunkReader step.
 ///
 /// Thread-safe: all search state lives in a per-call SearchScratch, the
 /// chunk file uses positional reads, and the optional ChunkCache is
@@ -156,7 +127,7 @@ class Searcher {
   /// `observer`, when set, is invoked after every processed chunk.
   /// `scratch`, when non-null, supplies reusable working memory; pass one
   /// scratch per thread when calling concurrently.
-  StatusOr<SearchResult> Search(std::span<const float> query, size_t k,
+  StatusOr<MethodResult> Search(std::span<const float> query, size_t k,
                                 const StopRule& stop,
                                 const SearchObserver& observer = nullptr,
                                 SearchScratch* scratch = nullptr) const;
@@ -186,7 +157,7 @@ class Searcher {
   /// (plan measured per query; each chunk's fetch+scan wall split evenly
   /// across its attached queries); per-query prefetch counters stay zero —
   /// the merged streams report through `shared->prefetch`.
-  StatusOr<std::vector<SearchResult>> SearchShared(
+  StatusOr<std::vector<MethodResult>> SearchShared(
       std::span<const std::span<const float>> queries, size_t k,
       const StopRule& stop, size_t num_threads = 1,
       SharedScanStats* shared = nullptr) const;
@@ -198,7 +169,7 @@ class Searcher {
   /// order; kMaxChunks and kTimeBudget stop rules yield approximate
   /// (subset) answers, kExact stops once no unread chunk can intersect the
   /// query ball.
-  StatusOr<SearchResult> SearchRange(std::span<const float> query,
+  StatusOr<MethodResult> SearchRange(std::span<const float> query,
                                      double radius, const StopRule& stop,
                                      SearchScratch* scratch = nullptr) const;
 
@@ -222,29 +193,34 @@ class Searcher {
                      size_t budget = kFullRanking) const;
 
   /// The prefetch pipeline backing this searcher, or null at depth 0.
-  const ChunkPrefetcher* prefetcher() const { return prefetcher_.get(); }
+  const ChunkPrefetcher* prefetcher() const { return reader_.prefetcher(); }
 
   /// The chunk index this searcher scans (borrowed).
   const ChunkIndex* index() const { return index_; }
 
  private:
-  /// Synchronous fetch of chunk `chunk_id` — the depth-0 path and the
-  /// reference the pipelined PrefetchStream::Next is bit-identical to.
-  /// Through the cache when present (single-flight GetOrLoad: concurrent
-  /// misses on one chunk share one disk read, and the scan reads straight
-  /// out of the returned handle), else from the chunk file into
-  /// `scratch.chunk`. `*from_cache` reports the cache verdict that decides
-  /// the cost-model charge.
-  Status FetchChunk(uint32_t chunk_id, SearchScratch& scratch,
-                    std::shared_ptr<const ChunkData>* cache_ref,
-                    const ChunkData** data, bool* from_cache) const;
+  /// The query-major rank-order loop of Search and SearchRange: rank under
+  /// `rank_budget`, then fetch, scan into `sink` and charge chunk by chunk
+  /// until `stop` fires. `Sink` is the result collector (k-NN set or range
+  /// list) and its share of the stop test; templating on it keeps the
+  /// per-row scan loop as tight as a hand-written one.
+  template <typename Sink>
+  StatusOr<MethodResult> ScanInRankOrder(std::span<const float> query,
+                                         const StopRule& stop,
+                                         size_t rank_budget, Sink& sink,
+                                         const SearchObserver& observer,
+                                         SearchScratch& s) const;
+
+  /// Completes a chunked query's telemetry from its serial clock, plan
+  /// split and chunk ledger: scan = total - plan on both clocks, the index
+  /// entries ranked, and every scanned row as a candidate.
+  void FinishTelemetry(int64_t wall_micros, QueryTelemetry& t) const;
 
   const ChunkIndex* index_;
   DiskCostModel cost_model_;
-  ChunkCache* cache_;
-  /// Null when prefetching is disabled (depth 0). Shared by all queries and
-  /// threads of this searcher; streams are per query.
-  std::unique_ptr<ChunkPrefetcher> prefetcher_;
+  /// Fetches and charges every chunk; owns the read-ahead pipeline (null at
+  /// depth 0), shared by all queries and threads of this searcher.
+  ChunkReader reader_;
 };
 
 }  // namespace qvt

@@ -3,7 +3,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <vector>
 
+#include "core/result_set.h"
 #include "storage/prefetcher.h"
 
 namespace qvt {
@@ -110,8 +112,7 @@ struct ShardAttribution {
 /// The unified per-query measurement record every SearchMethod emits — the
 /// one schema BatchSearcher and the bench runner aggregate, replacing the
 /// former per-method stats structs (LshStats, VaFileStats, MedrankStats,
-/// PSphereStats) and the bespoke counters callers used to pull out of
-/// SearchResult by hand.
+/// PSphereStats).
 ///
 /// Counter semantics (a method leaves fields that do not apply at 0):
 ///  * probes                — coarse index accesses: chunks considered for
@@ -131,13 +132,16 @@ struct ShardAttribution {
 ///                            method, approximation codes plus refined
 ///                            records for the VA-file, 100-byte records per
 ///                            exact distance for the memory-resident methods.
-///  * chunks_read, cache_*, prefetch — chunked-path ledgers (zero elsewhere).
+///  * chunks_read, cache_*, prefetch — chunk-read ledgers (zero for methods
+///                            that read no chunks), charged by ChunkReader
+///                            on every path that reads the chunk file.
 struct QueryTelemetry {
   // --- timers -------------------------------------------------------------
   int64_t wall_micros = 0;   ///< whole query on the host wall clock
   int64_t model_micros = 0;  ///< whole query on the cost model (0 = no model)
   /// Modeled wall time with the prefetch pipeline overlapping I/O and CPU
-  /// (reported alongside — never instead of — model_micros).
+  /// (OverlappedScanTimeline at the method's prefetch depth; reported
+  /// alongside — never instead of — model_micros, and never above it).
   int64_t model_overlapped_micros = 0;
   /// Per-stage split: plan (ranking / hashing / projecting the query before
   /// any candidate is touched), scan (walking the index structure and
@@ -196,6 +200,18 @@ struct QueryTelemetry {
     prefetch += other.prefetch;
     return *this;
   }
+};
+
+/// Answer of one query: neighbors in ascending (distance, id) order — the
+/// KnnResultSet tie-break, which every method honors — plus the shared
+/// telemetry record. The one result type of every search path, from
+/// Searcher through SearchMethod to BatchSearcher.
+struct MethodResult {
+  std::vector<Neighbor> neighbors;
+  QueryTelemetry telemetry;
+  /// Per-structure attribution when the answer was merged across a dynamic
+  /// index's buffer and shards; empty for static methods.
+  std::vector<ShardAttribution> shards;
 };
 
 }  // namespace qvt

@@ -70,13 +70,18 @@ class DiskCostModel {
                                 static_cast<double>(num_descriptors));
   }
 
+  /// Serial charge of one chunk whose read takes `io` and scan `cpu`,
+  /// honoring the overlap setting.
+  int64_t CombineMicros(int64_t io, int64_t cpu) const {
+    return config_.overlap_io_cpu ? (io > cpu ? io : cpu) : io + cpu;
+  }
+
   /// Total charge for reading + processing one chunk, honoring the overlap
   /// setting.
   int64_t ChunkTotalMicros(uint32_t num_pages,
                            uint32_t num_descriptors) const {
-    const int64_t io = ChunkIoMicros(num_pages);
-    const int64_t cpu = ChunkCpuMicros(num_descriptors);
-    return config_.overlap_io_cpu ? (io > cpu ? io : cpu) : io + cpu;
+    return CombineMicros(ChunkIoMicros(num_pages),
+                         ChunkCpuMicros(num_descriptors));
   }
 
   /// Charge for reading the chunk index and ranking all chunks (§4.3 step 1).
@@ -98,25 +103,30 @@ class DiskCostModel {
 /// counterpart of the chunk prefetcher (storage/prefetcher.h).
 ///
 /// The paper's per-query accounting (DiskCostModel::ChunkTotalMicros summed
-/// chunk by chunk) is deliberately untouched: that serial sum stays the
-/// figures' time axis. This timeline is reported alongside it, as
-/// SearchResult::model_overlapped_micros.
+/// chunk by chunk) stays the figures' time axis and the kTimeBudget stop
+/// authority; this timeline is reported alongside it, as
+/// QueryTelemetry::model_overlapped_micros. Both clocks give a chunk the
+/// same within-chunk semantics, so at depth 0 the timeline *is* the serial
+/// sum and no depth can read above it.
 ///
 /// Model: one disk (reads are serial), one CPU (scans are serial, in rank
 /// order). The read of chunk r may be issued once the disk is free and the
 /// pipeline window has space — i.e. once chunk r-depth has been handed to
 /// the scan (PrefetchStream pops a slot and refills *before* scanning it, so
-/// depth 1 already overlaps the next read with the current scan). The scan
-/// of a chunk starts when the previous scan finished and the chunk's bytes
-/// have arrived. Cache hits occupy no disk time. With depth == 0 nothing
-/// overlaps: each chunk charges io + cpu strictly in sequence.
+/// depth 1 already overlaps the next read with the current scan); at depth
+/// 0 it is issued when the previous scan finished. Cache hits occupy no
+/// disk time. Within a chunk, `overlap_io_cpu` (DiskCostModelConfig) lets
+/// the scan start as soon as the read does and end no earlier than the last
+/// byte arrives (max(io, cpu) when nothing else waits); without it the scan
+/// starts once the whole chunk has arrived (io + cpu).
 class OverlappedScanTimeline {
  public:
   /// `start_micros` seeds both the disk and CPU clocks (the index-scan
   /// charge, which precedes every chunk read).
-  explicit OverlappedScanTimeline(size_t depth, int64_t start_micros = 0)
-      : depth_(depth), start_(start_micros), disk_free_(start_micros),
-        scan_done_(start_micros) {}
+  explicit OverlappedScanTimeline(size_t depth, int64_t start_micros = 0,
+                                  bool overlap_io_cpu = true)
+      : depth_(depth), overlap_io_cpu_(overlap_io_cpu), start_(start_micros),
+        disk_free_(start_micros), scan_done_(start_micros) {}
 
   /// Appends the next chunk of the rank order. `io_micros` == 0 means a
   /// cache hit (no disk occupancy).
@@ -131,14 +141,16 @@ class OverlappedScanTimeline {
                                                  : scan_starts_.front();
       if (scan_starts_.size() >= depth_) scan_starts_.pop_front();
     }
+    int64_t io_start = window_open;
     int64_t arrival = window_open;
     if (io_micros > 0) {
-      const int64_t io_start = std::max(disk_free_, window_open);
+      io_start = std::max(disk_free_, window_open);
       arrival = io_start + io_micros;
       disk_free_ = arrival;
     }
-    const int64_t scan_start = std::max(scan_done_, arrival);
-    scan_done_ = scan_start + cpu_micros;
+    const int64_t scan_start =
+        std::max(scan_done_, overlap_io_cpu_ ? io_start : arrival);
+    scan_done_ = std::max(scan_start + cpu_micros, arrival);
     if (depth_ > 0) scan_starts_.push_back(scan_start);
   }
 
@@ -149,6 +161,7 @@ class OverlappedScanTimeline {
 
  private:
   size_t depth_;
+  bool overlap_io_cpu_;
   int64_t start_;
   int64_t disk_free_;
   int64_t scan_done_;

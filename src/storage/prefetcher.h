@@ -20,7 +20,7 @@ namespace qvt {
 
 class PrefetchStream;
 
-/// Per-query prefetch counters, merged into SearchResult. On the synchronous
+/// Per-query prefetch counters, merged into QueryTelemetry. On the synchronous
 /// path all four stay zero.
 struct PrefetchStats {
   uint64_t issued = 0;     ///< background reads this stream asked for
@@ -166,7 +166,7 @@ class PrefetchStream {
   /// completes. On success `*data` points at the descriptors — kept alive by
   /// `*cache_ref` when cached, else by the stream until the following
   /// Next()/Finish() — and `*from_cache` reports the authoritative cache
-  /// verdict exactly as the synchronous FetchChunk would. A failed read's
+  /// verdict exactly as the synchronous ChunkReader::Fetch would. A failed read's
   /// status is returned here, at the position the synchronous path would
   /// have hit it. Must be called at most once per chunk in the order.
   Status Next(std::shared_ptr<const ChunkData>* cache_ref,

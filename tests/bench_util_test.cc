@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util/runner.h"
+#include "chunked_method_util.h"
 #include "core/search_method.h"
 #include "storage/disk_cost_model.h"
 #include "util/logging.h"
@@ -172,9 +173,8 @@ TEST_F(IndexSuiteTest, ApproximateStopLowersPrecision) {
 
 TEST_F(IndexSuiteTest, RunTailSweepProducesOrderedPoints) {
   const IndexVariant& v = suite_->variant(Strategy::kSrTree, SizeClass::kSmall);
-  const Searcher searcher(&v.index, DiskCostModel(config_->cost_model));
-  const auto method = WrapSearcher(&searcher);
-  ASSERT_TRUE(method->Prepare().ok());
+  const auto method = MakeChunkedMethod(&v.index, nullptr, {},
+                                        DiskCostModel(config_->cost_model));
 
   const std::vector<size_t> budgets{1, 2, 0};
   auto points = RunTailSweep(*method, suite_->dq(),
@@ -203,9 +203,8 @@ TEST_F(IndexSuiteTest, RunTailSweepProducesOrderedPoints) {
 
 TEST_F(IndexSuiteTest, RunTailSweepRejectsEmptyBudgets) {
   const IndexVariant& v = suite_->variant(Strategy::kSrTree, SizeClass::kSmall);
-  const Searcher searcher(&v.index, DiskCostModel(config_->cost_model));
-  const auto method = WrapSearcher(&searcher);
-  ASSERT_TRUE(method->Prepare().ok());
+  const auto method = MakeChunkedMethod(&v.index, nullptr, {},
+                                        DiskCostModel(config_->cost_model));
   EXPECT_TRUE(RunTailSweep(*method, suite_->dq(),
                            &suite_->truth(SizeClass::kSmall, "DQ"),
                            config_->k, {}, 1)

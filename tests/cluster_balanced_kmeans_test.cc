@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <vector>
 
+#include "chunked_method_util.h"
 #include "cluster/chunker.h"
 #include "cluster/kmeans.h"
 #include "cluster/rebalance.h"
@@ -151,9 +152,7 @@ TEST(BalancedKMeansTest, ExactSearchOverBalancedIndexMatchesExactScan) {
   const Workload workload = MakeDatasetQueries(c, 40, &rng);
   const GroundTruth truth = GroundTruth::Compute(c, workload, k);
 
-  const Searcher searcher(&*index, DiskCostModel{});
-  const auto method = WrapSearcher(&searcher);
-  ASSERT_TRUE(method->Prepare().ok());
+  const auto method = MakeChunkedMethod(&*index);
   for (size_t q = 0; q < workload.num_queries(); ++q) {
     auto result = method->Search(workload.Query(q), k, StopRule::Exact());
     ASSERT_TRUE(result.ok());

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_util/runner.h"
+#include "chunked_method_util.h"
 #include "cluster/round_robin.h"
 #include "cluster/srtree_chunker.h"
 #include "core/exact_scan.h"
@@ -40,19 +41,22 @@ struct BatchFixture {
   }
 };
 
-// Compares unified batch results against a directly-collected serial
-// reference of native SearchResults — pinning the adapter's telemetry
-// mapping as well as the neighbors.
+// Compares batch results against a directly-collected serial reference of
+// Searcher::Search results — the telemetry counters as well as the
+// neighbors.
 void ExpectIdenticalResults(const std::vector<MethodResult>& a,
-                            const std::vector<SearchResult>& b) {
+                            const std::vector<MethodResult>& b) {
   ASSERT_EQ(a.size(), b.size());
   for (size_t q = 0; q < a.size(); ++q) {
-    EXPECT_EQ(a[q].telemetry.chunks_read, b[q].chunks_read) << "query " << q;
-    EXPECT_EQ(a[q].telemetry.descriptors_scanned, b[q].descriptors_processed)
+    const QueryTelemetry& ta = a[q].telemetry;
+    const QueryTelemetry& tb = b[q].telemetry;
+    EXPECT_EQ(ta.chunks_read, tb.chunks_read) << "query " << q;
+    EXPECT_EQ(ta.descriptors_scanned, tb.descriptors_scanned)
         << "query " << q;
-    EXPECT_EQ(a[q].telemetry.model_micros, b[q].model_elapsed_micros)
+    EXPECT_EQ(ta.model_micros, tb.model_micros) << "query " << q;
+    EXPECT_EQ(ta.model_overlapped_micros, tb.model_overlapped_micros)
         << "query " << q;
-    EXPECT_EQ(a[q].telemetry.exact, b[q].exact) << "query " << q;
+    EXPECT_EQ(ta.exact, tb.exact) << "query " << q;
     ASSERT_EQ(a[q].neighbors.size(), b[q].neighbors.size()) << "query " << q;
     for (size_t i = 0; i < a[q].neighbors.size(); ++i) {
       EXPECT_EQ(a[q].neighbors[i].id, b[q].neighbors[i].id)
@@ -71,7 +75,7 @@ TEST(BatchSearcherTest, EightThreadsBitIdenticalToSerial) {
   Searcher searcher(&*fx.index, DiskCostModel());
 
   // Reference: the plain serial loop over Searcher::Search.
-  std::vector<SearchResult> serial;
+  std::vector<MethodResult> serial;
   for (size_t q = 0; q < fx.workload.num_queries(); ++q) {
     auto result =
         searcher.Search(fx.workload.Query(q), 10, StopRule::Exact());
@@ -79,7 +83,8 @@ TEST(BatchSearcherTest, EightThreadsBitIdenticalToSerial) {
     serial.push_back(std::move(result).value());
   }
 
-  BatchSearcher threaded(&searcher, 8);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher threaded(method.get(), 8);
   auto batch = threaded.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   EXPECT_EQ(batch->num_threads, 8u);
@@ -90,7 +95,7 @@ TEST(BatchSearcherTest, SingleThreadMatchesSerialLoop) {
   BatchFixture fx(/*num_queries=*/40);
   Searcher searcher(&*fx.index, DiskCostModel());
 
-  std::vector<SearchResult> serial;
+  std::vector<MethodResult> serial;
   for (size_t q = 0; q < fx.workload.num_queries(); ++q) {
     auto result = searcher.Search(fx.workload.Query(q), 5,
                                   StopRule::MaxChunks(3));
@@ -98,7 +103,8 @@ TEST(BatchSearcherTest, SingleThreadMatchesSerialLoop) {
     serial.push_back(std::move(result).value());
   }
 
-  BatchSearcher batch_searcher(&searcher, 1);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher batch_searcher(method.get(), 1);
   auto batch = batch_searcher.SearchAll(fx.workload, 5, StopRule::MaxChunks(3));
   ASSERT_TRUE(batch.ok());
   ExpectIdenticalResults(batch->results, serial);
@@ -106,8 +112,8 @@ TEST(BatchSearcherTest, SingleThreadMatchesSerialLoop) {
 
 TEST(BatchSearcherTest, ResultsStayInInputOrder) {
   BatchFixture fx(/*num_queries=*/100);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher threaded(&searcher, 8);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher threaded(method.get(), 8);
   auto batch = threaded.SearchAll(fx.workload, 3, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   // Dataset queries are collection members: result slot q must hold the
@@ -121,15 +127,15 @@ TEST(BatchSearcherTest, ResultsStayInInputOrder) {
 
 TEST(BatchSearcherTest, SharedCacheKeepsAnswersIdentical) {
   BatchFixture fx(/*num_queries=*/100);
-  Searcher plain(&*fx.index, DiskCostModel());
+  const auto plain = MakeChunkedMethod(&*fx.index);
   ChunkCache cache(256, /*num_shards=*/4);  // small: eviction under load
-  Searcher cached(&*fx.index, DiskCostModel(), &cache);
+  const auto cached = MakeChunkedMethod(&*fx.index, &cache);
 
-  BatchSearcher serial(&plain, 1);
+  BatchSearcher serial(plain.get(), 1);
   auto reference = serial.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(reference.ok());
 
-  BatchSearcher threaded(&cached, 8);
+  BatchSearcher threaded(cached.get(), 8);
   auto batch = threaded.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
 
@@ -164,24 +170,22 @@ TEST(BatchSearcherTest, PrefetchingThreadsMatchSynchronousSerial) {
   BatchFixture fx(/*num_queries=*/100);
   PrefetcherOptions no_prefetch;
   no_prefetch.depth = 0;
-  Searcher sync(&*fx.index, DiskCostModel(), nullptr, no_prefetch);
-  ASSERT_EQ(sync.prefetcher(), nullptr);
+  const auto sync = MakeChunkedMethod(&*fx.index, nullptr, no_prefetch);
 
   PrefetcherOptions deep;
   deep.depth = 4;
   deep.io_threads = 4;
   ChunkCache cache(256, /*num_shards=*/4);
-  Searcher pipelined(&*fx.index, DiskCostModel(), &cache, deep);
-  ASSERT_NE(pipelined.prefetcher(), nullptr);
+  const auto pipelined = MakeChunkedMethod(&*fx.index, &cache, deep);
 
   PrefetchStats total;
   for (const StopRule& rule : {StopRule::Exact(), StopRule::MaxChunks(3)}) {
-    BatchSearcher serial(&sync, 1);
+    BatchSearcher serial(sync.get(), 1);
     auto reference = serial.SearchAll(fx.workload, 10, rule);
     ASSERT_TRUE(reference.ok());
     EXPECT_EQ(reference->totals.prefetch.issued, 0u);  // fully synchronous
 
-    BatchSearcher threaded(&pipelined, 8);
+    BatchSearcher threaded(pipelined.get(), 8);
     auto batch = threaded.SearchAll(fx.workload, 10, rule);
     ASSERT_TRUE(batch.ok());
 
@@ -210,8 +214,8 @@ TEST(BatchSearcherTest, PrefetchingThreadsMatchSynchronousSerial) {
 
 TEST(BatchSearcherTest, PercentilesAreOrdered) {
   BatchFixture fx(/*num_queries=*/50);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher batch_searcher(&searcher, 4);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher batch_searcher(method.get(), 4);
   auto batch = batch_searcher.SearchAll(fx.workload, 5, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   EXPECT_LE(batch->wall.p50, batch->wall.p95);
@@ -226,16 +230,16 @@ TEST(BatchSearcherTest, PercentilesAreOrdered) {
 
 TEST(BatchSearcherTest, PropagatesPerQueryErrors) {
   BatchFixture fx(/*num_queries=*/10);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher batch_searcher(&searcher, 4);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher batch_searcher(method.get(), 4);
   auto bad = batch_searcher.SearchAll(fx.workload, 0, StopRule::Exact());
   EXPECT_TRUE(bad.status().IsInvalidArgument());
 }
 
 TEST(BatchSearcherTest, EmptyWorkloadSucceeds) {
   BatchFixture fx(/*num_queries=*/5);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher batch_searcher(&searcher, 4);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher batch_searcher(method.get(), 4);
   Workload empty;
   empty.dim = fx.workload.dim;
   auto batch = batch_searcher.SearchAll(empty, 5, StopRule::Exact());
@@ -256,16 +260,16 @@ TEST(BatchSearcherTest, EmptyWorkloadSucceeds) {
 // bench_util wiring
 // ---------------------------------------------------------------------------
 
-TEST(RunWorkloadBatchTest, ThreadCountDoesNotChangeDeterministicMetrics) {
+TEST(RunMethodBatchTest, ThreadCountDoesNotChangeDeterministicMetrics) {
   BatchFixture fx(/*num_queries=*/100);
-  Searcher searcher(&*fx.index, DiskCostModel());
+  const auto method = MakeChunkedMethod(&*fx.index);
   const GroundTruth truth =
       GroundTruth::Compute(fx.collection, fx.workload, 10);
 
-  auto serial = RunWorkloadBatch(searcher, fx.workload, &truth, 10,
-                                 StopRule::Exact(), 1);
-  auto threaded = RunWorkloadBatch(searcher, fx.workload, &truth, 10,
-                                   StopRule::Exact(), 8);
+  auto serial = RunMethodBatch(*method, fx.workload, &truth, 10,
+                               StopRule::Exact(), 1);
+  auto threaded = RunMethodBatch(*method, fx.workload, &truth, 10,
+                                 StopRule::Exact(), 8);
   ASSERT_TRUE(serial.ok());
   ASSERT_TRUE(threaded.ok());
   EXPECT_EQ(serial->num_threads, 1u);
@@ -278,12 +282,12 @@ TEST(RunWorkloadBatchTest, ThreadCountDoesNotChangeDeterministicMetrics) {
   EXPECT_EQ(serial->model.p99, threaded->model.p99);
 }
 
-TEST(RunWorkloadBatchTest, RejectsMismatchedTruth) {
+TEST(RunMethodBatchTest, RejectsMismatchedTruth) {
   BatchFixture fx(/*num_queries=*/10);
-  Searcher searcher(&*fx.index, DiskCostModel());
+  const auto method = MakeChunkedMethod(&*fx.index);
   const GroundTruth truth = GroundTruth::Compute(fx.collection, fx.workload, 5);
-  auto report = RunWorkloadBatch(searcher, fx.workload, &truth, 10,
-                                 StopRule::Exact(), 2);
+  auto report = RunMethodBatch(*method, fx.workload, &truth, 10,
+                               StopRule::Exact(), 2);
   EXPECT_TRUE(report.status().IsInvalidArgument());
 }
 

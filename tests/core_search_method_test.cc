@@ -358,11 +358,12 @@ TEST(SearchMethodTest, ChunkedAdapterMatchesDirectSearcher) {
       ASSERT_TRUE(unified.ok());
       ASSERT_TRUE(native.ok());
       ExpectSameNeighbors(unified->neighbors, native->neighbors);
-      EXPECT_EQ(unified->telemetry.chunks_read, native->chunks_read);
-      EXPECT_EQ(unified->telemetry.descriptors_scanned,
-                native->descriptors_processed);
-      EXPECT_EQ(unified->telemetry.model_micros, native->model_elapsed_micros);
-      EXPECT_EQ(unified->telemetry.exact, native->exact);
+      ExpectSameCounters(unified->telemetry, native->telemetry);
+      EXPECT_EQ(unified->telemetry.chunks_read, native->telemetry.chunks_read);
+      EXPECT_EQ(unified->telemetry.model_micros,
+                native->telemetry.model_micros);
+      EXPECT_EQ(unified->telemetry.model_overlapped_micros,
+                native->telemetry.model_overlapped_micros);
     }
   }
 }

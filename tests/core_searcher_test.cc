@@ -52,7 +52,7 @@ TEST(SearcherTest, ExactSearchMatchesSequentialScan) {
 
     auto result = searcher.Search(query, 10, StopRule::Exact());
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->exact);
+    EXPECT_TRUE(result->telemetry.exact);
     const auto truth = ExactScan(fx.collection, query, 10);
     ASSERT_EQ(result->neighbors.size(), 10u);
     for (size_t i = 0; i < 10; ++i) {
@@ -70,9 +70,9 @@ TEST(SearcherTest, ExactStopReadsFewerChunksThanAll) {
   const auto query = fx.collection.Vector(100);
   auto result = searcher.Search(query, 5, StopRule::Exact());
   ASSERT_TRUE(result.ok());
-  EXPECT_TRUE(result->exact);
-  EXPECT_LT(result->chunks_read, fx.index->num_chunks());
-  EXPECT_GT(result->chunks_read, 0u);
+  EXPECT_TRUE(result->telemetry.exact);
+  EXPECT_LT(result->telemetry.chunks_read, fx.index->num_chunks());
+  EXPECT_GT(result->telemetry.chunks_read, 0u);
   // The query itself is its own nearest neighbor.
   EXPECT_DOUBLE_EQ(result->neighbors[0].distance, 0.0);
 }
@@ -86,9 +86,9 @@ TEST(SearcherTest, MaxChunksStopRespected) {
   for (size_t budget : {1u, 3u, 7u}) {
     auto result = searcher.Search(query, 30, StopRule::MaxChunks(budget));
     ASSERT_TRUE(result.ok());
-    EXPECT_EQ(result->chunks_read, std::min<size_t>(budget,
+    EXPECT_EQ(result->telemetry.chunks_read, std::min<size_t>(budget,
                                                     fx.index->num_chunks()));
-    EXPECT_FALSE(result->exact);
+    EXPECT_FALSE(result->telemetry.exact);
   }
 }
 
@@ -99,7 +99,7 @@ TEST(SearcherTest, ZeroChunkBudgetReturnsEmpty) {
   auto result =
       searcher.Search(fx.collection.Vector(0), 5, StopRule::MaxChunks(0));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->chunks_read, 0u);
+  EXPECT_EQ(result->telemetry.chunks_read, 0u);
   EXPECT_TRUE(result->neighbors.empty());
 }
 
@@ -112,13 +112,13 @@ TEST(SearcherTest, TimeBudgetStopsEarly) {
   // Zero budget: the model time after index scan alone exceeds it.
   auto tiny = searcher.Search(query, 30, StopRule::TimeBudget(0));
   ASSERT_TRUE(tiny.ok());
-  EXPECT_EQ(tiny->chunks_read, 0u);
+  EXPECT_EQ(tiny->telemetry.chunks_read, 0u);
 
   // Generous budget: search reads chunks.
   auto roomy = searcher.Search(query, 30,
                                StopRule::TimeBudget(60LL * 1000 * 1000));
   ASSERT_TRUE(roomy.ok());
-  EXPECT_GT(roomy->chunks_read, 0u);
+  EXPECT_GT(roomy->telemetry.chunks_read, 0u);
 }
 
 TEST(SearcherTest, TimeBudgetIsMonotoneInChunksRead) {
@@ -132,8 +132,8 @@ TEST(SearcherTest, TimeBudgetIsMonotoneInChunksRead) {
     auto result =
         searcher.Search(query, 30, StopRule::TimeBudget(budget_ms * 1000));
     ASSERT_TRUE(result.ok());
-    EXPECT_GE(result->chunks_read, last_chunks);
-    last_chunks = result->chunks_read;
+    EXPECT_GE(result->telemetry.chunks_read, last_chunks);
+    last_chunks = result->telemetry.chunks_read;
   }
 }
 
@@ -157,7 +157,7 @@ TEST(SearcherTest, ObserverSeesMonotoneProgress) {
   auto result = searcher.Search(fx.collection.Vector(3), 10,
                                 StopRule::Exact(), observer);
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(calls, result->chunks_read);
+  EXPECT_EQ(calls, result->telemetry.chunks_read);
 }
 
 TEST(SearcherTest, ModelTimeIncludesIndexScan) {
@@ -168,7 +168,7 @@ TEST(SearcherTest, ModelTimeIncludesIndexScan) {
   auto result =
       searcher.Search(fx.collection.Vector(0), 5, StopRule::MaxChunks(0));
   ASSERT_TRUE(result.ok());
-  EXPECT_EQ(result->model_elapsed_micros,
+  EXPECT_EQ(result->telemetry.model_micros,
             model.IndexScanMicros(fx.index->num_chunks()));
 }
 
@@ -197,7 +197,7 @@ TEST(SearcherTest, RangeSearchMatchesBruteForce) {
     auto result = searcher.SearchRange(fx.collection.Vector(pos), radius,
                                        StopRule::Exact());
     ASSERT_TRUE(result.ok());
-    EXPECT_TRUE(result->exact);
+    EXPECT_TRUE(result->telemetry.exact);
 
     size_t expected = 0;
     for (size_t i = 0; i < fx.collection.size(); ++i) {
@@ -212,7 +212,7 @@ TEST(SearcherTest, RangeSearchMatchesBruteForce) {
                 result->neighbors[i - 1].distance);
     }
     // The bound-based pruning must save reads for small balls.
-    EXPECT_LE(result->chunks_read, fx.index->num_chunks());
+    EXPECT_LE(result->telemetry.chunks_read, fx.index->num_chunks());
   }
 }
 
@@ -227,7 +227,7 @@ TEST(SearcherTest, ApproximateRangeIsSubset) {
   auto approx = searcher.SearchRange(query, radius, StopRule::MaxChunks(2));
   ASSERT_TRUE(exact.ok());
   ASSERT_TRUE(approx.ok());
-  EXPECT_FALSE(approx->exact);
+  EXPECT_FALSE(approx->telemetry.exact);
   EXPECT_LE(approx->neighbors.size(), exact->neighbors.size());
   // Every approximate hit is a true hit.
   for (const Neighbor& a : approx->neighbors) {
@@ -244,7 +244,7 @@ TEST(SearcherTest, ApproximateRangeIsSubset) {
 
 // The kernel layer's determinism contract at the API that matters: the same
 // queries through the forced-scalar path and through the best SIMD backend
-// must return bit-identical SearchResults (ids, distances, chunks read,
+// must return bit-identical results (ids, distances, chunks read,
 // modeled time), so QVT_SIMD=off is purely a speed knob.
 TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
   SrTreeChunker chunker(60);
@@ -270,10 +270,11 @@ TEST(SearcherTest, SimdAndScalarBackendsReturnIdenticalResults) {
     ASSERT_TRUE(range_scalar.ok() && range_simd.ok());
     for (auto [a, b] : {std::pair{&*knn_scalar, &*knn_simd},
                         std::pair{&*range_scalar, &*range_simd}}) {
-      EXPECT_EQ(a->chunks_read, b->chunks_read);
-      EXPECT_EQ(a->descriptors_processed, b->descriptors_processed);
-      EXPECT_EQ(a->model_elapsed_micros, b->model_elapsed_micros);
-      EXPECT_EQ(a->exact, b->exact);
+      EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
+      EXPECT_EQ(a->telemetry.descriptors_scanned,
+                b->telemetry.descriptors_scanned);
+      EXPECT_EQ(a->telemetry.model_micros, b->telemetry.model_micros);
+      EXPECT_EQ(a->telemetry.exact, b->telemetry.exact);
       ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
       for (size_t i = 0; i < a->neighbors.size(); ++i) {
         EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id) << "rank " << i;
@@ -340,8 +341,8 @@ TEST(SearcherTest, EpsilonApproximationBoundsError) {
       ASSERT_TRUE(approx.ok());
       // The exactness flag may only be claimed when every chunk was
       // scanned (then the answer is exact regardless of epsilon).
-      if (approx->exact) {
-        EXPECT_EQ(approx->chunks_read, fx.index->num_chunks());
+      if (approx->telemetry.exact) {
+        EXPECT_EQ(approx->telemetry.chunks_read, fx.index->num_chunks());
       }
       // (1+eps)-guarantee: every reported distance is within (1+eps) of the
       // true distance at that rank.
@@ -350,7 +351,7 @@ TEST(SearcherTest, EpsilonApproximationBoundsError) {
                   (1.0 + epsilon) * exact->neighbors[i].distance + 1e-9);
       }
       // Never more work than the exact search.
-      EXPECT_LE(approx->chunks_read, exact->chunks_read);
+      EXPECT_LE(approx->telemetry.chunks_read, exact->telemetry.chunks_read);
     }
   }
 }
@@ -364,8 +365,8 @@ TEST(SearcherTest, ZeroEpsilonEqualsExact) {
   auto b = searcher.Search(query, 10, StopRule::EpsilonApproximate(0.0));
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
-  EXPECT_TRUE(b->exact);
-  EXPECT_EQ(a->chunks_read, b->chunks_read);
+  EXPECT_TRUE(b->telemetry.exact);
+  EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
   for (size_t i = 0; i < 10; ++i) {
     EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id);
   }
@@ -383,11 +384,11 @@ PrefetcherOptions Depth(size_t depth) {
 
 // Everything the cost model and quality evaluation consume must be equal —
 // and distances bitwise so, since prefetching never touches the math.
-void ExpectBitIdentical(const SearchResult& a, const SearchResult& b) {
-  EXPECT_EQ(a.chunks_read, b.chunks_read);
-  EXPECT_EQ(a.descriptors_processed, b.descriptors_processed);
-  EXPECT_EQ(a.model_elapsed_micros, b.model_elapsed_micros);
-  EXPECT_EQ(a.exact, b.exact);
+void ExpectBitIdentical(const MethodResult& a, const MethodResult& b) {
+  EXPECT_EQ(a.telemetry.chunks_read, b.telemetry.chunks_read);
+  EXPECT_EQ(a.telemetry.descriptors_scanned, b.telemetry.descriptors_scanned);
+  EXPECT_EQ(a.telemetry.model_micros, b.telemetry.model_micros);
+  EXPECT_EQ(a.telemetry.exact, b.telemetry.exact);
   ASSERT_EQ(a.neighbors.size(), b.neighbors.size());
   for (size_t i = 0; i < a.neighbors.size(); ++i) {
     EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << "rank " << i;
@@ -567,16 +568,19 @@ TEST(PrefetchSearcherTest, PipelinedSearchIsBitIdenticalToSynchronous) {
         ExpectBitIdentical(*a, *b);
         // The pipeline's own ledger must balance, and the synchronous
         // searcher must not have touched it at all.
-        const PrefetchStats& p = b->prefetch;
+        const PrefetchStats& p = b->telemetry.prefetch;
         EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
-        EXPECT_EQ(p.used, b->chunks_read);  // no cache: every chunk is read
-        EXPECT_EQ(a->prefetch.issued, 0u);
-        // The overlapped wall-time model can only improve on the depth-0
-        // timeline (the strict io+cpu serial schedule the sync path reports;
-        // model_elapsed_micros is no upper bound — the paper's per-chunk
-        // max(io, cpu) charge already overlaps a chunk's I/O with its *own*
-        // scan, which a real pipeline cannot do for the first read).
-        EXPECT_LE(b->model_overlapped_micros, a->model_overlapped_micros);
+        // No cache: every chunk is read.
+        EXPECT_EQ(p.used, b->telemetry.chunks_read);
+        EXPECT_EQ(a->telemetry.prefetch.issued, 0u);
+        // One model clock: the depth-0 timeline is the serial charge, and
+        // a pipeline can only improve on it.
+        EXPECT_EQ(a->telemetry.model_overlapped_micros,
+                  a->telemetry.model_micros);
+        EXPECT_LE(b->telemetry.model_overlapped_micros,
+                  b->telemetry.model_micros);
+        EXPECT_LE(b->telemetry.model_overlapped_micros,
+                  a->telemetry.model_overlapped_micros);
       }
     }
   }
@@ -632,10 +636,10 @@ TEST(PrefetchSearcherTest, MidScanExactStopCancelsStrandedReads) {
   ASSERT_TRUE(a.ok());
   ASSERT_TRUE(b.ok());
   ExpectBitIdentical(*a, *b);
-  ASSERT_LT(b->chunks_read, fx.index->num_chunks());
+  ASSERT_LT(b->telemetry.chunks_read, fx.index->num_chunks());
 
-  const PrefetchStats& p = b->prefetch;
-  EXPECT_EQ(p.used, b->chunks_read);
+  const PrefetchStats& p = b->telemetry.prefetch;
+  EXPECT_EQ(p.used, b->telemetry.chunks_read);
   EXPECT_GT(p.issued, p.used);  // the window had run ahead of the stop
   EXPECT_EQ(p.issued, p.used + p.wasted + p.cancelled);
   EXPECT_GT(p.wasted + p.cancelled, 0u);
@@ -660,7 +664,7 @@ TEST(PrefetchSearcherTest, ReadAheadStopsAtChunkBudget) {
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
       ExpectBitIdentical(*a, *b);
-      const PrefetchStats& p = b->prefetch;
+      const PrefetchStats& p = b->telemetry.prefetch;
       EXPECT_EQ(p.issued, std::min(budget, n));
       EXPECT_EQ(p.used, std::min(budget, n));
       EXPECT_EQ(p.wasted, 0u);

@@ -2,10 +2,9 @@
 // sweep of the acceptance bar — batched-vs-per-query results must be
 // byte-identical for every registered method, stop rule, SIMD backend, and
 // thread count — plus detach semantics, duplicate-query dedup, the
-// QVT_SHARED_SCAN escape hatch, the fused multi-query kernels against
+// BatchSearcher constructor switch, the fused multi-query kernels against
 // their single-query references, and the coalescing ledger.
 
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
@@ -13,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include "chunked_method_util.h"
 #include "cluster/srtree_chunker.h"
 #include "core/batch_searcher.h"
 #include "core/chunk_index.h"
@@ -35,10 +35,6 @@ struct SharedScanFixture {
   Workload workload;
 
   explicit SharedScanFixture(size_t num_queries = 60, uint64_t seed = 33) {
-    // Every test here picks shared-vs-query-major explicitly through the
-    // BatchSearcher constructor; an inherited QVT_SHARED_SCAN (e.g. the CI
-    // escape-hatch ctest run) must not override that choice.
-    unsetenv("QVT_SHARED_SCAN");
     GeneratorConfig config;
     config.num_images = 40;
     config.descriptors_per_image = 25;
@@ -124,13 +120,13 @@ std::vector<kernels::Backend> SupportedBackends() {
 
 TEST(SharedScanTest, ChunkedBitIdenticalAcrossStopRulesBackendsThreads) {
   SharedScanFixture fx(/*num_queries=*/60);
-  Searcher searcher(&*fx.index, DiskCostModel());
+  const auto method = MakeChunkedMethod(&*fx.index);
 
   // A mid-scan time budget: half the exact model time of the first query,
   // so some queries detach mid-order while others run longer.
-  auto probe = searcher.Search(fx.workload.Query(0), 10, StopRule::Exact());
+  auto probe = method->Search(fx.workload.Query(0), 10, StopRule::Exact());
   ASSERT_TRUE(probe.ok());
-  const int64_t budget = probe->model_elapsed_micros / 2;
+  const int64_t budget = probe->telemetry.model_micros / 2;
   ASSERT_GT(budget, 0);
 
   const struct {
@@ -147,13 +143,13 @@ TEST(SharedScanTest, ChunkedBitIdenticalAcrossStopRulesBackendsThreads) {
   for (const kernels::Backend backend : SupportedBackends()) {
     kernels::SetBackendForTesting(backend);
     for (const auto& r : rules) {
-      BatchSearcher query_major(&searcher, 1, /*shared_scan=*/false);
+      BatchSearcher query_major(method.get(), 1, /*shared_scan=*/false);
       auto reference = query_major.SearchAll(fx.workload, 10, r.rule);
       ASSERT_TRUE(reference.ok());
       EXPECT_FALSE(reference->shared.enabled);
 
       for (const size_t threads : {size_t{1}, size_t{3}}) {
-        BatchSearcher chunk_major(&searcher, threads);
+        BatchSearcher chunk_major(method.get(), threads);
         auto batch = chunk_major.SearchAll(fx.workload, 10, r.rule);
         ASSERT_TRUE(batch.ok());
         const std::string label =
@@ -178,8 +174,8 @@ TEST(SharedScanTest, ChunkedBitIdenticalAcrossStopRulesBackendsThreads) {
 // identical, and the schedule must actually coalesce fetches.
 TEST(SharedScanTest, ExactStopsDetachQueriesMidSchedule) {
   SharedScanFixture fx(/*num_queries=*/60);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher chunk_major(&searcher, 1);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher chunk_major(method.get(), 1);
   auto batch = chunk_major.SearchAll(fx.workload, 5, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(batch->shared.enabled);
@@ -207,15 +203,15 @@ TEST(SharedScanTest, ExactStopsDetachQueriesMidSchedule) {
 // and each query's verdicts balance.
 TEST(SharedScanTest, SharedCacheKeepsAnswersIdentical) {
   SharedScanFixture fx(/*num_queries=*/60);
-  Searcher plain(&*fx.index, DiskCostModel());
+  const auto plain = MakeChunkedMethod(&*fx.index);
   ChunkCache cache(256, /*num_shards=*/4);
-  Searcher cached(&*fx.index, DiskCostModel(), &cache);
+  const auto cached = MakeChunkedMethod(&*fx.index, &cache);
 
-  BatchSearcher query_major(&plain, 1, /*shared_scan=*/false);
+  BatchSearcher query_major(plain.get(), 1, /*shared_scan=*/false);
   auto reference = query_major.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(reference.ok());
 
-  BatchSearcher chunk_major(&cached, 3);
+  BatchSearcher chunk_major(cached.get(), 3);
   auto batch = chunk_major.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(batch->shared.enabled);
@@ -233,10 +229,9 @@ TEST(SharedScanTest, MergedPrefetchStreamsReportThroughSharedLedger) {
   SharedScanFixture fx(/*num_queries=*/40);
   PrefetcherOptions deep;
   deep.depth = 4;
-  Searcher pipelined(&*fx.index, DiskCostModel(), nullptr, deep);
-  ASSERT_NE(pipelined.prefetcher(), nullptr);
+  const auto pipelined = MakeChunkedMethod(&*fx.index, nullptr, deep);
 
-  BatchSearcher chunk_major(&pipelined, 1);
+  BatchSearcher chunk_major(pipelined.get(), 1);
   auto batch = chunk_major.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(batch->shared.enabled);
@@ -253,7 +248,7 @@ TEST(SharedScanTest, MergedPrefetchStreamsReportThroughSharedLedger) {
 
 TEST(SharedScanTest, DuplicateQueriesShareOnePlanAndScan) {
   SharedScanFixture fx(/*num_queries=*/10);
-  Searcher searcher(&*fx.index, DiskCostModel());
+  const auto method = MakeChunkedMethod(&*fx.index);
 
   // A replayed-trace workload: each distinct query appears three times.
   Workload replay;
@@ -264,11 +259,11 @@ TEST(SharedScanTest, DuplicateQueriesShareOnePlanAndScan) {
   }
   ASSERT_EQ(replay.num_queries(), 3 * fx.workload.num_queries());
 
-  BatchSearcher query_major(&searcher, 1, /*shared_scan=*/false);
+  BatchSearcher query_major(method.get(), 1, /*shared_scan=*/false);
   auto reference = query_major.SearchAll(replay, 10, StopRule::Exact());
   ASSERT_TRUE(reference.ok());
 
-  BatchSearcher chunk_major(&searcher, 1);
+  BatchSearcher chunk_major(method.get(), 1);
   auto batch = chunk_major.SearchAll(replay, 10, StopRule::Exact());
   ASSERT_TRUE(batch.ok());
   ASSERT_TRUE(batch->shared.enabled);
@@ -279,33 +274,24 @@ TEST(SharedScanTest, DuplicateQueriesShareOnePlanAndScan) {
   ExpectByteIdentical(batch->results, reference->results, "dedup");
 }
 
-// --- The QVT_SHARED_SCAN escape hatch and the constructor switch ----------
+// --- The constructor switch ----------------------------------------------
 
-TEST(SharedScanTest, EnvEscapeHatchForcesQueryMajor) {
+// shared_scan = false forces query-major execution even where the method
+// could coalesce, and the two modes answer byte-identically.
+TEST(SharedScanTest, ConstructorSwitchDisablesSharedScan) {
   SharedScanFixture fx(/*num_queries=*/20);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher batch_searcher(&searcher, 1);  // shared on by default
-
-  ASSERT_EQ(setenv("QVT_SHARED_SCAN", "0", 1), 0);
-  auto disabled = batch_searcher.SearchAll(fx.workload, 10, StopRule::Exact());
-  ASSERT_EQ(unsetenv("QVT_SHARED_SCAN"), 0);
+  const auto method = MakeChunkedMethod(&*fx.index);
+  BatchSearcher off(method.get(), 4, /*shared_scan=*/false);
+  auto disabled = off.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(disabled.ok());
   EXPECT_FALSE(disabled->shared.enabled);
   EXPECT_EQ(disabled->shared.chunk_fetches, 0u);
 
-  auto enabled = batch_searcher.SearchAll(fx.workload, 10, StopRule::Exact());
+  BatchSearcher on(method.get(), 1);  // shared on by default
+  auto enabled = on.SearchAll(fx.workload, 10, StopRule::Exact());
   ASSERT_TRUE(enabled.ok());
   EXPECT_TRUE(enabled->shared.enabled);
-  ExpectByteIdentical(enabled->results, disabled->results, "escape-hatch");
-}
-
-TEST(SharedScanTest, ConstructorSwitchDisablesSharedScan) {
-  SharedScanFixture fx(/*num_queries=*/10);
-  Searcher searcher(&*fx.index, DiskCostModel());
-  BatchSearcher off(&searcher, 4, /*shared_scan=*/false);
-  auto batch = off.SearchAll(fx.workload, 5, StopRule::Exact());
-  ASSERT_TRUE(batch.ok());
-  EXPECT_FALSE(batch->shared.enabled);
+  ExpectByteIdentical(enabled->results, disabled->results, "switch");
 }
 
 // --- Every registered method: shared batches must equal query-major -------

@@ -120,7 +120,7 @@ TEST_F(IntegrationTest, EveryChunkerProducesASearchableIndex) {
     Searcher searcher(&*index, DiskCostModel());
     auto exact = searcher.Search(query, 10, StopRule::Exact());
     ASSERT_TRUE(exact.ok()) << tag;
-    EXPECT_TRUE(exact->exact) << tag;
+    EXPECT_TRUE(exact->telemetry.exact) << tag;
     for (size_t i = 0; i < 10; ++i) {
       EXPECT_NEAR(exact->neighbors[i].distance, truth[i].distance, 1e-6)
           << tag << " rank " << i;
@@ -129,8 +129,8 @@ TEST_F(IntegrationTest, EveryChunkerProducesASearchableIndex) {
     // Approximate modes are well-formed and cheaper.
     auto budget = searcher.Search(query, 10, StopRule::MaxChunks(2));
     ASSERT_TRUE(budget.ok()) << tag;
-    EXPECT_LE(budget->chunks_read, 2u) << tag;
-    EXPECT_LE(budget->model_elapsed_micros, exact->model_elapsed_micros)
+    EXPECT_LE(budget->telemetry.chunks_read, 2u) << tag;
+    EXPECT_LE(budget->telemetry.model_micros, exact->telemetry.model_micros)
         << tag;
   }
 }

@@ -440,7 +440,7 @@ TEST(CachedSearcherTest, RepeatedQueryHitsCache) {
   for (size_t i = 0; i < cold->neighbors.size(); ++i) {
     EXPECT_EQ(cold->neighbors[i].id, warm->neighbors[i].id);
   }
-  EXPECT_LT(warm->model_elapsed_micros, cold->model_elapsed_micros);
+  EXPECT_LT(warm->telemetry.model_micros, cold->telemetry.model_micros);
 }
 
 TEST(CachedSearcherTest, CacheAgreesWithUncachedSearch) {
@@ -487,7 +487,7 @@ TEST(CachedSearcherTest, RangeSearchUsesCache) {
   for (size_t i = 0; i < cold->neighbors.size(); ++i) {
     EXPECT_EQ(cold->neighbors[i].id, warm->neighbors[i].id);
   }
-  EXPECT_LT(warm->model_elapsed_micros, cold->model_elapsed_micros);
+  EXPECT_LT(warm->telemetry.model_micros, cold->telemetry.model_micros);
 }
 
 TEST(CachedSearcherTest, RangeSearchCacheAgreesWithUncached) {
@@ -504,7 +504,7 @@ TEST(CachedSearcherTest, RangeSearchCacheAgreesWithUncached) {
                                  StopRule::Exact());
       ASSERT_TRUE(a.ok());
       ASSERT_TRUE(b.ok());
-      EXPECT_EQ(a->chunks_read, b->chunks_read);
+      EXPECT_EQ(a->telemetry.chunks_read, b->telemetry.chunks_read);
       ASSERT_EQ(a->neighbors.size(), b->neighbors.size());
       for (size_t i = 0; i < a->neighbors.size(); ++i) {
         EXPECT_EQ(a->neighbors[i].id, b->neighbors[i].id);

@@ -311,7 +311,8 @@ TEST(PrefetcherTest, EvictionBetweenPeekAndConsumeFallsBackToSyncRead) {
   EXPECT_EQ(disk.per_chunk_reads[30].load(), 1u);
   const PrefetchStats stats = stream->Finish();
   EXPECT_EQ(stats.issued, 0u);  // the read was the sync fallback, not issued
-  EXPECT_TRUE(cache.Contains(30));  // and it re-published, like FetchChunk
+  // And it re-published, like ChunkReader::Fetch.
+  EXPECT_TRUE(cache.Contains(30));
 }
 
 TEST(PrefetcherTest, ManyStreamsOverSharedChunksAreRaceFree) {

@@ -62,12 +62,12 @@
 // pipeline); its default also honors the QVT_PREFETCH_DEPTH environment
 // variable. Results are bit-identical at every depth.
 //
-// batch --shared-scan on (the default; QVT_SHARED_SCAN=0 overrides to off)
-// runs methods that support it (chunked, pq) chunk-major: the queries'
-// chunk schedules are merged, each chunk is fetched and decoded once for
-// all the queries that want it, and identical query vectors share one
-// plan and scan. Results are bit-identical to --shared-scan off; the
-// report adds the coalescing ledger.
+// batch --shared-scan on (the default) runs methods that support it
+// (chunked, pq) chunk-major: the queries' chunk schedules are merged, each
+// chunk is fetched and decoded once for all the queries that want it, and
+// identical query vectors share one plan and scan. Results are
+// bit-identical to --shared-scan off; the report adds the coalescing
+// ledger.
 //
 // ingest/delete/compact drive a dynamic (Bentley-Saxe) index at path
 // prefix --dyn: ingest creates the index on first use (--method picks the
@@ -812,6 +812,14 @@ void PrintTelemetry(const QueryTelemetry& t, const char* prefix) {
               static_cast<unsigned long long>(t.chunks_read),
               static_cast<unsigned long long>(t.cache_hits),
               static_cast<unsigned long long>(t.cache_misses));
+  // Where the time went, per stage, on both clocks (the model clock reads
+  // 0 for methods without a disk model).
+  std::printf("%sstages wall  (ms): plan %.3f  scan %.3f  refine %.3f\n",
+              prefix, t.plan.wall_micros / 1000.0, t.scan.wall_micros / 1000.0,
+              t.refine.wall_micros / 1000.0);
+  std::printf("%sstages model (ms): plan %.3f  scan %.3f  refine %.3f\n",
+              prefix, t.plan.model_micros / 1000.0,
+              t.scan.model_micros / 1000.0, t.refine.model_micros / 1000.0);
 }
 
 int CmdSearch(const Flags& flags) {
@@ -881,9 +889,9 @@ int CmdSearch(const Flags& flags) {
 
 // Runs a sampled query workload through the concurrent batch engine, via
 // any registered --method (default: the paper's chunked searcher).
-// Methods that support it run chunk-major by default (--shared-scan off or
-// QVT_SHARED_SCAN=0 forces query-major); results are bit-identical either
-// way, so figure-reproduction runs stay on the paper's methodology.
+// Methods that support it run chunk-major by default (--shared-scan off
+// forces query-major); results are bit-identical either way, so
+// figure-reproduction runs stay on the paper's methodology.
 // --verify 1 re-runs the batch serially (query-major, prefetch off, fresh
 // cache) and cross-checks neighbors per query — covering concurrency,
 // prefetching, AND the shared-scan executor. --check-recall R scores the
